@@ -16,8 +16,9 @@ The :class:`~repro.core.engine.PredictionEngine` talks only to backends.
 Capabilities are negotiated up front — :meth:`MatcherBackend.capabilities`
 returns the model's content :func:`~repro.core.serialize.
 matcher_fingerprint` (request keys, caches and the explanation store are
-keyed by it), whether the columnar fast path exists, and the largest
-batch one call may carry (the engine clamps its chunk width to it).
+keyed by it) and the largest batch one call may carry (the engine clamps
+its chunk width to it).  Every prediction crosses a backend as one
+:class:`~repro.core.columnar.ColumnarPairBatch`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.exceptions import BackendError, ConfigurationError
-from repro.matchers.base import EntityMatcher
+from repro.matchers.base import EntityMatcher, score_batch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.columnar import ColumnarPairBatch
@@ -38,8 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Version of the backend wire protocol / capabilities contract.  A
 #: remote peer advertising a different version is an incompatible build
-#: and the handshake fails rather than limping along.
-PROTOCOL_VERSION = 1
+#: and the handshake fails rather than limping along.  Version 2 carries
+#: one predict op, ``predict_columnar``.
+PROTOCOL_VERSION = 2
 
 #: Default cap on rows per backend call when the backend itself does not
 #: impose a tighter one.  Bounds a single frame's memory on both sides of
@@ -60,9 +62,7 @@ class BackendCapabilities:
 
     #: Content hash of the model (:func:`matcher_fingerprint`).
     fingerprint: str
-    #: Whether ``predict_proba_columnar`` is served.
-    supports_columnar: bool
-    #: Largest row count one ``predict`` call may carry.
+    #: Largest row count one ``predict_columnar`` call may carry.
     max_batch_size: int
     #: Matcher class name, for logs and /healthz — never for dispatch.
     matcher_class: str = ""
@@ -81,7 +81,6 @@ class BackendCapabilities:
         """A wire-friendly view (the handshake payload)."""
         return {
             "fingerprint": self.fingerprint,
-            "supports_columnar": self.supports_columnar,
             "max_batch_size": self.max_batch_size,
             "matcher_class": self.matcher_class,
             "protocol_version": self.protocol_version,
@@ -91,7 +90,6 @@ class BackendCapabilities:
     def from_dict(cls, payload: dict) -> "BackendCapabilities":
         return cls(
             fingerprint=str(payload["fingerprint"]),
-            supports_columnar=bool(payload["supports_columnar"]),
             max_batch_size=int(payload["max_batch_size"]),
             matcher_class=str(payload.get("matcher_class", "")),
             protocol_version=int(payload.get("protocol_version", 0)),
@@ -115,14 +113,9 @@ class MatcherBackend(ABC):
     def predict_proba(self, pairs: Sequence["RecordPair"]) -> np.ndarray:
         """Match probabilities for materialized pairs."""
 
+    @abstractmethod
     def predict_proba_columnar(self, batch: "ColumnarPairBatch") -> np.ndarray:
-        """Match probabilities for a columnar perturbation batch.
-
-        Only valid when ``capabilities().supports_columnar`` is true.
-        """
-        raise BackendError(
-            f"{type(self).__name__} does not serve columnar prediction"
-        )
+        """Match probabilities for a columnar batch (the engine's entry)."""
 
     def health(self) -> dict:
         """Liveness view for /healthz: at least ``{"available": bool}``."""
@@ -178,9 +171,6 @@ class InProcessBackend(MatcherBackend):
 
             self._capabilities = BackendCapabilities(
                 fingerprint=matcher_fingerprint(self.matcher),
-                supports_columnar=bool(
-                    getattr(self.matcher, "supports_columnar", False)
-                ),
                 max_batch_size=self.max_batch_size,
                 matcher_class=type(self.matcher).__name__,
             )
@@ -190,7 +180,7 @@ class InProcessBackend(MatcherBackend):
         return self.matcher.predict_proba(pairs)
 
     def predict_proba_columnar(self, batch: "ColumnarPairBatch") -> np.ndarray:
-        return self.matcher.predict_proba_columnar(batch)
+        return score_batch(self.matcher, batch)
 
     def as_matcher(self) -> EntityMatcher:
         return self.matcher
@@ -207,10 +197,6 @@ class BackendMatcher(EntityMatcher):
 
     def __init__(self, backend: MatcherBackend) -> None:
         self._backend = backend
-
-    @property
-    def supports_columnar(self) -> bool:  # type: ignore[override]
-        return self._backend.capabilities().supports_columnar
 
     def fit(self, dataset) -> "BackendMatcher":
         raise BackendError(

@@ -5,10 +5,12 @@
 :class:`~repro.backends.base.MatcherBackend` surface to the engine.
 
 **Pipelining.**  One TCP connection carries many in-flight batches at
-once: a large ``predict_proba`` call is split into server-sized chunks
-that are *all written immediately* (bounded by ``max_in_flight`` window
-slots), and concurrent service workers share the same connection the
-same way.  A dedicated reader thread resolves responses **out of order**
+once: every call travels as a :class:`~repro.core.columnar.
+ColumnarPairBatch` (``predict_proba`` re-encodes its pairs with
+:meth:`~repro.core.columnar.ColumnarPairBatch.from_pairs`), a large one
+is split into server-sized chunks that are *all written immediately*
+(bounded by ``max_in_flight`` window slots), and concurrent service
+workers share the same connection the same way.  A dedicated reader thread resolves responses **out of order**
 by request id, so one slow batch never convoys the others and the
 network round-trip overlaps with server compute — this is what keeps
 remote throughput within a small factor of in-process.
@@ -43,6 +45,7 @@ import numpy as np
 from repro import exceptions
 from repro.backends.base import BackendCapabilities, MatcherBackend, PROTOCOL_VERSION
 from repro.backends.protocol import read_frame, send_frame
+from repro.core.columnar import ColumnarPairBatch
 from repro.core.deadline import active_scope, checkpoint
 from repro.core.guard import GuardConfig, GuardStats, MatcherGuard
 from repro.exceptions import (
@@ -296,16 +299,16 @@ class RemoteBackend(MatcherBackend):
             return conn.capabilities
         # First contact (or reconnect) goes through the guard so startup
         # against a still-booting server gets the same retry policy.
-        return self._guarded(("capabilities", None), 0).capabilities
+        return self._guarded(None, 0).capabilities
 
     def predict_proba(self, pairs: Sequence) -> np.ndarray:
         pairs = list(pairs)
         if not pairs:
             return np.zeros(0, dtype=np.float64)
-        return self._guarded(("predict", pairs), len(pairs))
+        return self._guarded(ColumnarPairBatch.from_pairs(pairs), len(pairs))
 
-    def predict_proba_columnar(self, batch) -> np.ndarray:
-        return self._guarded(("predict_columnar", batch), batch.n_rows)
+    def predict_proba_columnar(self, batch: ColumnarPairBatch) -> np.ndarray:
+        return self._guarded(batch, batch.n_rows)
 
     def health(self) -> dict:
         conn = self._conn
@@ -331,9 +334,9 @@ class RemoteBackend(MatcherBackend):
 
     # -- guarded round-trips -------------------------------------------
 
-    def _guarded(self, payload, size: int):
+    def _guarded(self, batch: ColumnarPairBatch | None, size: int):
         try:
-            return self._guard.call_with(self._roundtrip, payload, size)
+            return self._guard.call(batch, size)
         except MatcherUnavailableError as error:
             # The breaker lives in this client; surface it under the
             # backend taxonomy so /healthz and clients see the layer
@@ -348,8 +351,12 @@ class RemoteBackend(MatcherBackend):
             self._instruments.failures.inc()
             raise
 
-    def _roundtrip(self, payload):
-        op, body = payload
+    def _roundtrip(self, batch: ColumnarPairBatch | None):
+        """One guarded attempt: (re)connect, then score *batch*.
+
+        ``batch=None`` only ensures a live, handshaken connection and
+        returns it (the capabilities probe).
+        """
         if self._closed:
             raise BackendUnavailableError("backend client is closed")
         try:
@@ -359,17 +366,12 @@ class RemoteBackend(MatcherBackend):
                 f"cannot reach matcher backend at "
                 f"{self.address[0]}:{self.address[1]}: {error}"
             ) from error
-        if op == "capabilities":
+        if batch is None:
             return conn
         timeout_at = self._timeout_at()
-        if op == "predict":
-            chunks = self._split(body, conn.capabilities)
-            requests = [("predict", chunk, len(chunk)) for chunk in chunks]
-        else:
-            requests = [("predict_columnar", body, body.n_rows)]
         try:
-            issued = [self._submit(conn, kind, chunk, rows, timeout_at)
-                      for kind, chunk, rows in requests]
+            issued = [self._submit(conn, chunk, timeout_at)
+                      for chunk in self._split(batch, conn.capabilities)]
             parts = [self._await(conn, pending, timeout_at)
                      for pending in issued]
         except (ConnectionError, OSError) as error:
@@ -484,13 +486,15 @@ class RemoteBackend(MatcherBackend):
 
     # -- request plumbing ----------------------------------------------
 
-    def _split(self, pairs: list, capabilities: BackendCapabilities) -> list:
+    def _split(self, batch: ColumnarPairBatch,
+               capabilities: BackendCapabilities) -> list[ColumnarPairBatch]:
         chunk = capabilities.max_batch_size
         if self.config.pipeline_chunk_size:
             chunk = min(chunk, self.config.pipeline_chunk_size)
-        if len(pairs) <= chunk:
-            return [pairs]
-        return [pairs[i:i + chunk] for i in range(0, len(pairs), chunk)]
+        if batch.n_rows <= chunk:
+            return [batch]
+        return [batch.slice_rows(i, i + chunk)
+                for i in range(0, batch.n_rows, chunk)]
 
     def _timeout_at(self) -> float | None:
         timeout = self.config.call_timeout
@@ -503,7 +507,7 @@ class RemoteBackend(MatcherBackend):
                 at = ambient if at is None else min(at, ambient)
         return at
 
-    def _submit(self, conn: _Connection, op: str, body, rows: int,
+    def _submit(self, conn: _Connection, batch: ColumnarPairBatch,
                 timeout_at: float | None) -> _Pending:
         # A window slot bounds in-flight frames; waiting for one polls
         # the scope so cancellation/deadline interrupts the backpressure.
@@ -518,14 +522,14 @@ class RemoteBackend(MatcherBackend):
                 )
         try:
             request_id, pending = conn.register(time.monotonic())
-            key = "batch" if op == "predict_columnar" else "pairs"
             with conn.send_lock:
-                send_frame(conn.sock, {"op": op, "id": request_id, key: body})
+                send_frame(conn.sock, {"op": "predict_columnar",
+                                       "id": request_id, "batch": batch})
         except BaseException:
             conn.window.release()
             raise
         self._instruments.requests.inc()
-        self._instruments.batch_width.observe(float(rows))
+        self._instruments.batch_width.observe(float(batch.n_rows))
         self._instruments.inflight.inc()
         return pending
 

@@ -1,7 +1,7 @@
 """The subprocess-backed reference matcher server.
 
-One process owns one trained matcher and serves ``predict_proba`` /
-``predict_proba_columnar`` over the frame protocol to any number of
+One process owns one trained matcher and serves columnar predictions
+(the ``predict_columnar`` op) over the frame protocol to any number of
 clients — the deployment shape where N service shards share a model too
 heavy to replicate per shard.  Run it standalone via the
 ``serve-matcher`` CLI (``repro-em serve-matcher --model-dir …``), or
@@ -36,6 +36,7 @@ from repro.backends.base import (
     BackendCapabilities,
 )
 from repro.backends.protocol import FRAME_MAGIC, read_frame, send_frame
+from repro.core.columnar import ColumnarPairBatch
 from repro.core.serialize import matcher_fingerprint
 from repro.exceptions import (
     BackendProtocolError,
@@ -43,6 +44,7 @@ from repro.exceptions import (
     ServiceError,
     error_code,
 )
+from repro.matchers.base import score_batch
 
 __all__ = ["MatcherServer"]
 
@@ -103,9 +105,6 @@ class MatcherServer:
         self.matcher = matcher
         self.capabilities = BackendCapabilities(
             fingerprint=matcher_fingerprint(matcher),
-            supports_columnar=bool(
-                getattr(matcher, "supports_columnar", False)
-            ),
             max_batch_size=int(max_batch_size),
             matcher_class=type(matcher).__name__,
         )
@@ -235,7 +234,7 @@ class MatcherServer:
             self._respond(sock, send_lock, {"id": request_id, "ok": True,
                                             "result": "pong"})
             return
-        if op not in ("predict", "predict_columnar"):
+        if op != "predict_columnar":
             self._respond(sock, send_lock, {
                 "id": request_id, "ok": False, "code": "bad_request",
                 "error": f"unknown op {op!r}",
@@ -284,25 +283,18 @@ class MatcherServer:
         self._served_event.set()
 
     def _score(self, message: dict) -> np.ndarray:
-        if message.get("op") == "predict_columnar":
-            if not self.capabilities.supports_columnar:
-                raise ServiceError(
-                    f"{self.capabilities.matcher_class} does not serve "
-                    f"columnar prediction"
-                )
-            return np.asarray(
-                self.matcher.predict_proba_columnar(message["batch"]),
-                dtype=np.float64,
-            )
-        pairs = message.get("pairs")
-        if not isinstance(pairs, list):
-            raise ServiceError("predict needs a list of pairs")
-        if len(pairs) > self.capabilities.max_batch_size:
+        batch = message.get("batch")
+        if not isinstance(batch, ColumnarPairBatch):
             raise ServiceError(
-                f"batch of {len(pairs)} exceeds the advertised max of "
+                f"predict_columnar needs a ColumnarPairBatch, got "
+                f"{type(batch).__name__}"
+            )
+        if batch.n_rows > self.capabilities.max_batch_size:
+            raise ServiceError(
+                f"batch of {batch.n_rows} exceeds the advertised max of "
                 f"{self.capabilities.max_batch_size}"
             )
-        return np.asarray(self.matcher.predict_proba(pairs), dtype=np.float64)
+        return np.asarray(score_batch(self.matcher, batch), dtype=np.float64)
 
     # -- response paths (normal and chaotic) ---------------------------
 

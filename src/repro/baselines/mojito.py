@@ -36,7 +36,7 @@ from repro.exceptions import ConfigurationError, ExplanationError
 from repro.explainers.base import Explanation
 from repro.core.engine import PredictionEngine
 from repro.explainers.lime_text import LimeConfig, LimeTextExplainer
-from repro.matchers.base import EntityMatcher
+from repro.matchers.base import EntityMatcher, score_batch
 from repro.text.tokenize import PrefixedToken, Tokenizer
 
 _SIDES = ("left", "right")
@@ -72,20 +72,13 @@ def _predict_batch(
     matcher: EntityMatcher,
     batch: ColumnarPairBatch,
 ) -> np.ndarray:
-    """Score a columnar perturbation batch through the best available path.
-
-    Engine present → :meth:`~repro.core.engine.PredictionEngine.
-    predict_columnar` (dedup/cache accounting identical to the old
-    per-pair route; the engine materializes pairs itself when
-    ``vectorize`` is off).  Engineless → the matcher's columnar entry
-    point when it has one, else the rebuilt pairs.  All four routes are
-    bit-identical.
+    """Score a columnar perturbation batch: through the engine's
+    dedup/cache layer when one is attached, else straight through
+    :func:`~repro.matchers.base.score_batch`.  Both are bit-identical.
     """
     if engine is not None:
         return engine.predict_columnar(batch)
-    if getattr(matcher, "supports_columnar", False):
-        return matcher.predict_proba_columnar(batch)
-    return matcher.predict_proba(batch.pairs())
+    return score_batch(matcher, batch)
 
 
 @dataclass(frozen=True)

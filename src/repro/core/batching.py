@@ -18,8 +18,8 @@ Scheduling semantics (leader/follower):
   lock) and scatters results — or the failure — back to every slot.
 
 A submission at or above ``max_rows`` executes directly; it gains nothing
-from waiting.  Pair-list and columnar submissions ride the same buffer
-but merge per kind (a flush may issue one merged call of each).
+from waiting.  Every submission is a :class:`~repro.core.columnar.
+ColumnarPairBatch`; a flush concatenates them into one merged batch.
 
 Correctness: merging never changes a result bit.  Every matcher behind
 the engine scores rows independently, so a row's probability is the same
@@ -45,10 +45,12 @@ from repro.exceptions import ConfigurationError
 class _Slot:
     """One submitted miss set waiting for its share of a merged flush."""
 
-    __slots__ = ("payload", "n_rows", "enqueued_at", "done", "result", "error")
+    __slots__ = ("batch", "n_rows", "enqueued_at", "done", "result", "error")
 
-    def __init__(self, payload, n_rows: int, enqueued_at: float) -> None:
-        self.payload = payload
+    def __init__(
+        self, batch: ColumnarPairBatch, n_rows: int, enqueued_at: float
+    ) -> None:
+        self.batch = batch
         self.n_rows = n_rows
         self.enqueued_at = enqueued_at
         self.done = threading.Event()
@@ -59,16 +61,15 @@ class _Slot:
 class CrossRequestBatcher:
     """Coalesces concurrent matcher submissions into merged batches.
 
-    *execute_pairs* / *execute_columnar* run one merged batch through the
-    engine's chunked + guarded execution path.  *observe_wait* and
-    *count_merge* are optional metric hooks: seconds a slot spent
-    buffered, and flushes that merged more than one submission.
+    *execute* runs one merged batch through the engine's chunked +
+    guarded execution path.  *observe_wait* and *count_merge* are
+    optional metric hooks: seconds a slot spent buffered, and flushes
+    that merged more than one submission.
     """
 
     def __init__(
         self,
-        execute_pairs: Callable[[list], np.ndarray],
-        execute_columnar: Callable[[ColumnarPairBatch], np.ndarray],
+        execute: Callable[[ColumnarPairBatch], np.ndarray],
         window_seconds: float,
         max_rows: int,
         observe_wait: Callable[[float], None] | None = None,
@@ -83,8 +84,7 @@ class CrossRequestBatcher:
             raise ConfigurationError(f"max_rows must be >= 1, got {max_rows}")
         self.window_seconds = window_seconds
         self.max_rows = max_rows
-        self._execute_pairs = execute_pairs
-        self._execute_columnar = execute_columnar
+        self._execute = execute
         self._observe_wait = observe_wait
         self._count_merge = count_merge
         self._clock = clock
@@ -94,20 +94,16 @@ class CrossRequestBatcher:
 
     # ------------------------------------------------------------------
 
-    def submit(self, payload) -> np.ndarray:
-        """Run *payload* (a pair list or a columnar batch) through a
-        merged flush and return its rows of the merged result."""
-        n_rows = (
-            payload.n_rows
-            if isinstance(payload, ColumnarPairBatch)
-            else len(payload)
-        )
+    def submit(self, batch: ColumnarPairBatch) -> np.ndarray:
+        """Run *batch* through a merged flush and return its rows of the
+        merged result."""
+        n_rows = batch.n_rows
         if n_rows == 0:
             return np.empty(0, dtype=np.float64)
         if n_rows >= self.max_rows:
             # Already a full batch: waiting could only add latency.
-            return self._execute(payload)
-        slot = _Slot(payload, n_rows, self._clock())
+            return self._execute(batch)
+        slot = _Slot(batch, n_rows, self._clock())
         with self._cond:
             self._pending.append(slot)
             self._pending_rows += n_rows
@@ -139,11 +135,6 @@ class CrossRequestBatcher:
             self._pending_rows = 0
         self._flush(bucket)
 
-    def _execute(self, payload) -> np.ndarray:
-        if isinstance(payload, ColumnarPairBatch):
-            return self._execute_columnar(payload)
-        return self._execute_pairs(payload)
-
     def _flush(self, bucket: list[_Slot]) -> None:
         """Execute the merged bucket and scatter results to every slot."""
         now = self._clock()
@@ -152,23 +143,9 @@ class CrossRequestBatcher:
                 self._observe_wait(now - slot.enqueued_at)
         if self._count_merge is not None and len(bucket) > 1:
             self._count_merge(1)
-        pair_slots = [
-            s for s in bucket if not isinstance(s.payload, ColumnarPairBatch)
-        ]
-        col_slots = [
-            s for s in bucket if isinstance(s.payload, ColumnarPairBatch)
-        ]
         try:
-            if pair_slots:
-                merged: list = []
-                for s in pair_slots:
-                    merged.extend(s.payload)
-                self._scatter(pair_slots, self._execute_pairs(merged))
-            if col_slots:
-                merged_batch = ColumnarPairBatch.concat(
-                    [s.payload for s in col_slots]
-                )
-                self._scatter(col_slots, self._execute_columnar(merged_batch))
+            merged = ColumnarPairBatch.concat([slot.batch for slot in bucket])
+            self._scatter(bucket, self._execute(merged))
         except BaseException as error:  # noqa: BLE001 - relayed to waiters
             # A merged failure (guard trip, leader deadline, matcher
             # fault) fails every submission still waiting on this flush.

@@ -100,6 +100,42 @@ class ColumnarPairBatch:
     def schema(self):
         return self.template.schema
 
+    @classmethod
+    def from_pairs(cls, pairs: Sequence[RecordPair]) -> "ColumnarPairBatch":
+        """The batch whose row *i* holds the content of ``pairs[i]``.
+
+        Each *(side, attribute)* cell keeps its distinct values in
+        first-seen order, so :meth:`value_rows` returns exactly the value
+        tuples of :func:`repro.core.engine.pair_fingerprint`.  The first
+        pair is the template: rows materialized by :meth:`pairs` carry its
+        label and pair id (matchers score attribute values only).
+        """
+        if not pairs:
+            raise ValueError("from_pairs needs at least one pair")
+        template = pairs[0]
+        attributes = template.schema.attributes
+        for pair in pairs:
+            if pair.schema.attributes != attributes:
+                raise ValueError(
+                    "cannot batch record pairs with different schemas"
+                )
+        n_rows = len(pairs)
+        columns: dict[tuple[str, str], ValueColumn] = {}
+        for side in _SIDES:
+            entities = [pair.entity(side) for pair in pairs]
+            for attribute in attributes:
+                slots: dict[str, int] = {}
+                index = np.fromiter(
+                    (
+                        slots.setdefault(entity[attribute], len(slots))
+                        for entity in entities
+                    ),
+                    dtype=np.intp,
+                    count=n_rows,
+                )
+                columns[(side, attribute)] = ValueColumn(list(slots), index)
+        return cls(template, columns, n_rows)
+
     # ------------------------------------------------------------------
 
     def side_columns(self, side: str) -> list[ValueColumn]:
@@ -144,10 +180,11 @@ class ColumnarPairBatch:
         )
 
     def pairs(self) -> list[RecordPair]:
-        """Materialize one :class:`RecordPair` per row (fallback path).
+        """Materialize one :class:`RecordPair` per row.
 
-        Used when the matcher cannot consume columnar batches; content is
-        identical to the per-pair rebuild the batch replaced.
+        :func:`repro.matchers.base.score_batch` hands these to matchers
+        without a columnar entry point; content is identical to the
+        per-pair rebuild the batch replaced.
         """
         attributes = self.schema.attributes
         template = self.template
@@ -157,12 +194,20 @@ class ColumnarPairBatch:
         right_rows = self.value_rows("right")
         out: list[RecordPair] = []
         for left, right in zip(left_rows, right_rows):
-            pair = template
-            if left != template_left:
-                pair = pair.with_left(dict(zip(attributes, left)))
-            if right != template_right:
-                pair = pair.with_right(dict(zip(attributes, right)))
-            out.append(pair)
+            if left == template_left and right == template_right:
+                out.append(template)
+                continue
+            # One constructor call per row validates both sides once,
+            # where a with_left/with_right chain would copy twice.
+            out.append(
+                RecordPair(
+                    template.schema,
+                    dict(zip(attributes, left)),
+                    dict(zip(attributes, right)),
+                    label=template.label,
+                    pair_id=template.pair_id,
+                )
+            )
         return out
 
     @staticmethod

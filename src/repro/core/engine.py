@@ -4,9 +4,9 @@ the black-box matcher.
 Perturbation explainers are bounded by the number of model predictions
 they spend (LEMON's "prediction budget" observation): every explanation
 rebuilds ``n_samples`` record pairs per landmark side and sends each batch
-to :meth:`~repro.matchers.base.EntityMatcher.predict_proba`, and the
-evaluation runner repeats that for every (record × method ×
-generation-mode) cell.  Much of that spend is redundant:
+to the black-box matcher, and the evaluation runner repeats that for
+every (record × method × generation-mode) cell.  Much of that spend is
+redundant:
 
 * identical mask rows rebuild — and re-predict — the same pair;
 * distinct masks can still rebuild identical pairs (duplicate words inside
@@ -19,10 +19,13 @@ generation-mode) cell.  Much of that spend is redundant:
 output bit: predictions are deduplicated by the **content of the rebuilt
 pair**, answered from an LRU cache when possible, executed in chunked
 (optionally thread-parallel) batches otherwise, and scattered back to the
-full request.  Because every matcher in this library scores pairs
-row-independently and deterministically, the scattered probabilities are
-byte-identical to the naive path — equivalence is enforced by
-``tests/core/test_engine.py`` and ``benchmarks/bench_prediction_engine.py``.
+full request.  Every request — a mask matrix, a Mojito batch or a plain
+pair list — travels as one :class:`~repro.core.columnar.ColumnarPairBatch`
+from here to the backend.  Because every matcher in this library scores
+pairs row-independently and deterministically, the scattered
+probabilities are byte-identical to the naive path — equivalence is
+enforced by ``tests/core/test_engine.py`` and
+``benchmarks/bench_prediction_engine.py``.
 
 Observability
 -------------
@@ -42,6 +45,7 @@ import threading
 import time
 from collections import OrderedDict
 from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Iterable
 
@@ -58,7 +62,6 @@ from repro.exceptions import ConfigurationError, ExplanationError
 from repro.matchers.base import EntityMatcher
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import trace
-from repro.text.tokenize import Tokenizer
 
 #: Raw counter field names (everything in :class:`EngineStats` that can be
 #: summed across engines / worker processes).
@@ -100,7 +103,8 @@ class EngineStats:
     cache_hits: int = 0
     #: Unique requests that missed the cache (cache enabled only).
     cache_misses: int = 0
-    #: Matcher invocations (chunks sent to ``predict_proba``).
+    #: Matcher invocations (chunks sent to the backend's
+    #: ``predict_proba_columnar``).
     batches: int = 0
     #: Wall time spent rebuilding pairs from masks.
     rebuild_seconds: float = 0.0
@@ -195,21 +199,14 @@ class EngineConfig:
     persists across landmark sides, methods and evaluation stages;
     ``batch_size`` chunks matcher calls and ``n_jobs > 1`` runs the chunks
     on a thread pool (expensive matchers release the GIL in their numpy
-    kernels; anything that goes wrong falls back to serial execution).
+    kernels); a chunk that fails fails the request, exactly as it does
+    serially.
 
     The ``max_retries`` / ``call_timeout`` / ``trip_after`` / ``cooldown``
     / ``backoff`` / ``guard_seed`` fields configure the
     :class:`~repro.core.guard.MatcherGuard` every matcher chunk goes
     through; with the defaults (no retries, no timeout) the guard is a
     plain pass-through and runs are bit-identical to unguarded ones.
-
-    ``vectorize`` (default on) applies perturbation masks as columnar
-    batches — one vectorized rebuild per instance instead of a Python
-    loop per mask row — and, for matchers with ``supports_columnar``,
-    scores cache-miss sets through ``predict_proba_columnar``.  Results
-    are bit-identical either way (the columnar path re-encodes the same
-    strings and the same float64 features); the flag exists for A/B
-    benchmarking and as an escape hatch.
     """
 
     dedup: bool = True
@@ -217,7 +214,6 @@ class EngineConfig:
     cache_size: int = 100_000
     batch_size: int = 512
     n_jobs: int = 1
-    vectorize: bool = True
     max_retries: int = 0
     call_timeout: float | None = None
     trip_after: int = 5
@@ -453,30 +449,25 @@ class PredictionEngine:
         self,
         matcher,
         config: EngineConfig | None = None,
-        tokenizer: Tokenizer | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        # Imported here: reconstruction builds engines by default, so a
-        # module-level import would be circular.
-        from repro.core.reconstruction import PairReconstructor
-
         backend = as_backend(matcher)
         self.backend = backend
         # Matcher-typed view: the real matcher in-process (identical to
         # the pre-backend engine), a non-trainable proxy for remote.
         self.matcher = backend.as_matcher()
         self.config = config or EngineConfig()
-        self.reconstructor = PairReconstructor(tokenizer=tokenizer)
         # *metrics* is the registry this engine's instruments live in —
         # pass the service's (or runner's) registry to surface engine
         # accounting on its /metrics endpoint and metrics.json.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._instruments = _EngineInstruments(self.metrics)
-        # The guard writes its guard_* counters straight into the same
-        # instrument bundle, so they land in the same registry (and the
-        # same run JSON) as the dedup/cache accounting.
+        # The guard wraps the backend's one columnar entry point and
+        # writes its guard_* counters straight into the same instrument
+        # bundle, so they land in the same registry (and the same run
+        # JSON) as the dedup/cache accounting.
         self.guard = MatcherGuard(
-            backend.predict_proba,
+            backend.predict_proba_columnar,
             config=self.config.guard_config(),
             stats=self._instruments,
         )
@@ -488,14 +479,9 @@ class PredictionEngine:
             # No capabilities() call here: it would fingerprint the
             # matcher, which may not be trained yet (the _EngineMatcher
             # adapter fits through the engine in eval flows).
-            self._supports_columnar = bool(
-                getattr(backend.matcher, "supports_columnar", False)
-            )
             backend_max = backend.max_batch_size
         else:
-            capabilities = backend.capabilities()
-            self._supports_columnar = capabilities.supports_columnar
-            backend_max = capabilities.max_batch_size
+            backend_max = backend.capabilities().max_batch_size
         self._chunk_size = min(self.config.batch_size, backend_max)
         # Optional cross-request batch scheduler (serving layer attaches
         # one when ServiceConfig.batch_window_ms is set).
@@ -512,8 +498,7 @@ class PredictionEngine:
         """
         instruments = self._instruments
         self._batcher = CrossRequestBatcher(
-            execute_pairs=self._execute_pairs,
-            execute_columnar=self._execute_columnar,
+            execute=self._execute,
             window_seconds=window_seconds,
             max_rows=max_rows,
             observe_wait=instruments.batch_wait_seconds.observe,
@@ -538,110 +523,53 @@ class PredictionEngine:
     # ------------------------------------------------------------------
 
     def predict_pairs(self, pairs: Sequence[RecordPair]) -> np.ndarray:
-        """Probabilities for *pairs*, deduplicated and cached by content."""
+        """Probabilities for *pairs*, deduplicated and cached by content.
+
+        The pairs are re-encoded as one :meth:`~repro.core.columnar.
+        ColumnarPairBatch.from_pairs` batch, whose rows fingerprint to the
+        same :data:`PairKey` tuples as :func:`pair_fingerprint`.
+        """
         pairs = list(pairs)
-        self._instruments.requested.inc(len(pairs))
         if not pairs:
             return np.empty(0, dtype=np.float64)
-        if not self.config.dedup and not self.config.cache:
-            self._instruments.calls_issued.inc(len(pairs))
-            return self._predict_batches(pairs)
-        entries = self._group(pair_fingerprint(pair) for pair in pairs)
-
-        def predict_misses(miss_keys, miss_slots):
-            miss_pairs = [pairs[slots[0]] for slots in miss_slots]
-            return self._predict_batches(miss_pairs)
-
-        return self._resolve(entries, len(pairs), predict_misses)
+        return self.predict_columnar(ColumnarPairBatch.from_pairs(pairs))
 
     def predict_instance(
         self, instance: GeneratedInstance, masks: np.ndarray
     ) -> np.ndarray:
         """Probabilities for every perturbation mask of one instance.
 
-        Mask rows are grouped by the *rebuilt varying entity* they produce
-        — this catches identical rows and rows that differ only on tokens
-        whose removal does not change the rebuilt value (duplicate words,
-        already-covered injections).  Pairs are only materialized for
-        groups that miss the cache.
-
-        With ``config.vectorize`` (the default) the mask matrix is applied
-        as one columnar rebuild (:func:`~repro.core.columnar.
-        landmark_batch`) instead of a Python loop per row, and miss sets
-        reach vectorizing matchers through ``predict_proba_columnar``;
-        keys, accounting and probabilities are bit-identical either way.
+        The mask matrix is applied as one columnar rebuild
+        (:func:`~repro.core.columnar.landmark_batch`) instead of a Python
+        loop per row.  Rows are then grouped by the *rebuilt pair* they
+        produce — this catches identical rows and rows that differ only on
+        tokens whose removal does not change the rebuilt value (duplicate
+        words, already-covered injections).
         """
         masks = np.asarray(masks)
         n_masks = masks.shape[0]
         self._instruments.requested.inc(n_masks)
         if n_masks == 0:
             return np.empty(0, dtype=np.float64)
-        if self.config.vectorize:
-            started = time.perf_counter()
-            with trace.span("reconstruction", n_masks=n_masks):
-                batch = landmark_batch(instance, masks)
-            self._instruments.rebuild_seconds.observe(
-                time.perf_counter() - started
-            )
-            return self._answer_columnar(batch, n_masks)
-        if not self.config.dedup and not self.config.cache:
-            started = time.perf_counter()
-            with trace.span("reconstruction", n_masks=n_masks):
-                rebuilt = self.reconstructor.rebuild_many(instance, masks)
-            self.metrics.bulk(
-                (
-                    (self._instruments.rebuild_seconds,
-                     time.perf_counter() - started),
-                    (self._instruments.calls_issued, n_masks),
-                )
-            )
-            return self._predict_batches(rebuilt)
-
         started = time.perf_counter()
-        rebuild_span = trace.span("reconstruction", n_masks=n_masks)
-        attributes = instance.pair.schema.attributes
-        landmark_values = tuple(
-            instance.landmark_entity[attribute] for attribute in attributes
-        )
-        varying_side = instance.varying_side
-        keys: list[PairKey] = []
-        values_of: dict[PairKey, tuple[str, ...]] = {}
-        with rebuild_span:
-            for row in masks:
-                values = self.reconstructor.varying_values(instance, row)
-                if varying_side == "left":
-                    key = (attributes, values, landmark_values)
-                else:
-                    key = (attributes, landmark_values, values)
-                keys.append(key)
-                values_of[key] = values
+        with trace.span("reconstruction", n_masks=n_masks):
+            batch = landmark_batch(instance, masks)
         self._instruments.rebuild_seconds.observe(time.perf_counter() - started)
-
-        def predict_misses(miss_keys, miss_slots):
-            miss_pairs = [
-                instance.pair.with_side(
-                    varying_side, dict(zip(attributes, values_of[key]))
-                )
-                for key in miss_keys
-            ]
-            return self._predict_batches(miss_pairs)
-
-        return self._resolve(self._group(keys), n_masks, predict_misses)
+        return self._answer(batch)
 
     def predict_columnar(self, batch: ColumnarPairBatch) -> np.ndarray:
-        """Probabilities for a columnar perturbation batch.
+        """Probabilities for a columnar batch (the baselines' entry point).
 
-        The baselines' entry point: rows are fingerprinted by content
-        (the same :data:`PairKey` tuples as :meth:`predict_pairs`, so the
-        cache interoperates across methods), deduplicated, and miss sets
-        are scored columnar when the matcher supports it — materialized
-        as pairs otherwise.
+        Rows are fingerprinted by content (the same :data:`PairKey`
+        tuples as :meth:`predict_pairs`, so the cache interoperates
+        across methods), deduplicated, and miss sets go to the backend
+        as one columnar batch.
         """
         n_rows = batch.n_rows
         self._instruments.requested.inc(n_rows)
         if n_rows == 0:
             return np.empty(0, dtype=np.float64)
-        return self._answer_columnar(batch, n_rows)
+        return self._answer(batch)
 
     def predict_one(self, pair: RecordPair) -> float:
         """Cached probability of a single pair."""
@@ -678,53 +606,27 @@ class PredictionEngine:
             return list(grouped.items())
         return [(key, [index]) for index, key in enumerate(keys)]
 
-    def _answer_columnar(
-        self, batch: ColumnarPairBatch, n_requests: int
-    ) -> np.ndarray:
-        """Dedup/cache resolution of a columnar batch (requested counted).
+    def _answer(self, batch: ColumnarPairBatch) -> np.ndarray:
+        """Answer a batch (``requested`` already counted) from the cache,
+        then the matcher.
 
-        With ``vectorize`` off (a directly handed-in batch on a
-        non-vectorizing engine), miss rows are materialized as pairs and
-        follow the per-pair path — accounting and results are identical.
-        """
-        config = self.config
-        if not config.dedup and not config.cache:
-            self._instruments.calls_issued.inc(n_requests)
-            if config.vectorize:
-                return self._predict_columnar(batch)
-            return self._predict_batches(batch.pairs())
-        attributes = batch.schema.attributes
-        left_rows = batch.value_rows("left")
-        right_rows = batch.value_rows("right")
-        keys: list[PairKey] = [
-            (attributes, left, right)
-            for left, right in zip(left_rows, right_rows)
-        ]
-
-        def predict_misses(miss_keys, miss_slots):
-            rows = [slots[0] for slots in miss_slots]
-            sub = batch.take(rows)
-            if config.vectorize:
-                return self._predict_columnar(sub)
-            return self._predict_batches(sub.pairs())
-
-        return self._resolve(self._group(keys), n_requests, predict_misses)
-
-    def _resolve(
-        self,
-        entries: list[tuple[PairKey, list[int]]],
-        n_requests: int,
-        predict_misses,
-    ) -> np.ndarray:
-        """Answer grouped requests from the cache, then the matcher.
-
-        *predict_misses* maps ``(miss_keys, miss_slots)`` — the keys that
-        missed the cache and their request-index groups — to one
-        probability per key; callers close it over whatever representation
-        (pair list, columnar batch) the request arrived in.
+        Misses are predicted outside the lock; concurrent callers may
+        race to compute the same key, but matchers are deterministic so
+        both writers cache the same value.
         """
         config = self.config
         instruments = self._instruments
+        n_requests = batch.n_rows
+        if not config.dedup and not config.cache:
+            instruments.calls_issued.inc(n_requests)
+            return self._predict(batch)
+        attributes = batch.schema.attributes
+        entries = self._group(
+            (attributes, left, right)
+            for left, right in zip(
+                batch.value_rows("left"), batch.value_rows("right")
+            )
+        )
         out = np.empty(n_requests, dtype=np.float64)
         miss_keys: list[PairKey] = []
         miss_slots: list[list[int]] = []
@@ -748,10 +650,9 @@ class PredictionEngine:
             updates.append((instruments.cache_misses, len(miss_keys)))
         self.metrics.bulk(updates)
         if miss_keys:
-            # Misses are built and predicted outside the lock; concurrent
-            # callers may race to compute the same key, but matchers are
-            # deterministic so both writers cache the same value.
-            probabilities = predict_misses(miss_keys, miss_slots)
+            probabilities = self._predict(
+                batch.take([slots[0] for slots in miss_slots])
+            )
             with self._lock:
                 for key, indices, probability in zip(
                     miss_keys, miss_slots, probabilities
@@ -764,89 +665,22 @@ class PredictionEngine:
                 instruments.cache_entries.set(size)
         return out
 
-    def _predict_batches(self, pairs: list[RecordPair]) -> np.ndarray:
-        """Matcher execution for a pair list, via the batcher when attached."""
-        if self._batcher is not None:
-            return self._batcher.submit(list(pairs))
-        return self._execute_pairs(pairs)
-
-    def _predict_columnar(self, batch: ColumnarPairBatch) -> np.ndarray:
-        """Matcher execution for a columnar batch, via the batcher when
-        attached."""
+    def _predict(self, batch: ColumnarPairBatch) -> np.ndarray:
+        """Matcher execution, via the cross-request batcher when attached."""
         if self._batcher is not None:
             return self._batcher.submit(batch)
-        return self._execute_columnar(batch)
+        return self._execute(batch)
 
-    def _execute_pairs(self, pairs: list[RecordPair]) -> np.ndarray:
-        """Chunked (optionally thread-parallel) matcher execution.
+    def _execute(self, batch: ColumnarPairBatch) -> np.ndarray:
+        """Chunked (optionally thread-parallel) guarded matcher execution.
 
         Polls the ambient request scope (:func:`repro.core.deadline.
         checkpoint`) between chunks: a request whose deadline passed or
         whose waiters cancelled aborts at the next chunk boundary instead
         of paying for the rest of the batch.  The poll is a no-op outside
-        a serving scope and never changes results.
+        a serving scope and never changes results.  A failing chunk fails
+        the call whether the chunks run serially or on the thread pool.
         """
-        config = self.config
-        chunk_size = self._chunk_size
-        started = time.perf_counter()
-        checkpoint("prediction")
-        chunks = [
-            pairs[offset : offset + chunk_size]
-            for offset in range(0, len(pairs), chunk_size)
-        ]
-        instruments = self._instruments
-        instruments.batches.inc(len(chunks))
-        for chunk in chunks:
-            instruments.batch_width.observe(len(chunk))
-        with trace.span("prediction", n_pairs=len(pairs), n_batches=len(chunks)):
-            results: list[np.ndarray] | None = None
-            if config.n_jobs > 1 and len(chunks) > 1:
-                try:
-                    from concurrent.futures import ThreadPoolExecutor
-
-                    workers = min(config.n_jobs, len(chunks))
-                    with ThreadPoolExecutor(max_workers=workers) as pool:
-                        results = list(pool.map(self.guard.call, chunks))
-                except Exception:
-                    if self.guard.config.active:
-                        # With an active guard a parallel failure is a real
-                        # matcher fault (retries exhausted / circuit open),
-                        # not a pool problem — re-raising it serially would
-                        # just hammer the matcher again.
-                        raise
-                    results = None  # pragma: no cover - defensive serial fallback
-            if results is None:
-                results = []
-                for index, chunk in enumerate(chunks):
-                    if index:
-                        checkpoint("prediction")
-                    results.append(self.guard.call(chunk))
-        for chunk, result in zip(chunks, results):
-            if np.shape(result) != (len(chunk),):
-                raise ExplanationError(
-                    f"matcher returned probabilities of shape "
-                    f"{np.shape(result)} for {len(chunk)} pairs; expected "
-                    f"({len(chunk)},)"
-                )
-        instruments.predict_seconds.observe(time.perf_counter() - started)
-        if len(results) == 1:
-            return np.asarray(results[0], dtype=np.float64)
-        return np.concatenate(
-            [np.asarray(result, dtype=np.float64) for result in results]
-        )
-
-    def _execute_columnar(self, batch: ColumnarPairBatch) -> np.ndarray:
-        """Chunked columnar matcher execution (same policies as pairs).
-
-        Falls back to the per-pair path for matchers without columnar
-        support — test doubles, wrappers and the token-level matchers keep
-        their exact pre-vectorization call patterns.
-        """
-        if not self._supports_columnar:
-            return self._execute_pairs(batch.pairs())
-        if batch.n_rows == 0:
-            return np.empty(0, dtype=np.float64)
-        config = self.config
         chunk_size = self._chunk_size
         started = time.perf_counter()
         checkpoint("prediction")
@@ -858,32 +692,20 @@ class PredictionEngine:
         instruments.batches.inc(len(chunks))
         for chunk in chunks:
             instruments.batch_width.observe(chunk.n_rows)
-        predict_fn = self.backend.predict_proba_columnar
-
-        def call(chunk: ColumnarPairBatch) -> np.ndarray:
-            return self.guard.call_with(predict_fn, chunk, chunk.n_rows)
-
+        n_jobs = self.config.n_jobs
         with trace.span(
             "prediction", n_pairs=batch.n_rows, n_batches=len(chunks)
         ):
-            results: list[np.ndarray] | None = None
-            if config.n_jobs > 1 and len(chunks) > 1:
-                try:
-                    from concurrent.futures import ThreadPoolExecutor
-
-                    workers = min(config.n_jobs, len(chunks))
-                    with ThreadPoolExecutor(max_workers=workers) as pool:
-                        results = list(pool.map(call, chunks))
-                except Exception:
-                    if self.guard.config.active:
-                        raise
-                    results = None  # pragma: no cover - defensive serial fallback
-            if results is None:
+            if n_jobs > 1 and len(chunks) > 1:
+                workers = min(n_jobs, len(chunks))
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    results = list(pool.map(self.guard.call, chunks))
+            else:
                 results = []
                 for index, chunk in enumerate(chunks):
                     if index:
                         checkpoint("prediction")
-                    results.append(call(chunk))
+                    results.append(self.guard.call(chunk))
         for chunk, result in zip(chunks, results):
             if np.shape(result) != (chunk.n_rows,):
                 raise ExplanationError(

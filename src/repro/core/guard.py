@@ -139,8 +139,8 @@ class GuardConfig:
 class MatcherGuard:
     """Retry / timeout / circuit-breaker wrapper around one callable.
 
-    *predict_fn* is any ``pairs -> probabilities`` callable (typically a
-    bound ``EntityMatcher.predict_proba``).  *stats* is any object carrying
+    *predict_fn* is any ``batch -> probabilities`` callable (the engine
+    passes its backend's ``predict_proba_columnar``).  *stats* is any object carrying
     the :data:`GUARD_COUNTER_FIELDS` attributes — a plain
     :class:`GuardStats`, or the engine's registry-backed instrument
     bundle whose attributes are :class:`repro.obs.metrics.Counter`\\ s.
@@ -182,40 +182,31 @@ class MatcherGuard:
         """Breaker state: ``closed``, ``open`` or ``half_open``."""
         return self._state
 
-    def call(self, pairs):
-        """Invoke the guarded callable on *pairs*, applying all policies.
+    def call(self, payload, size: int | None = None):
+        """Invoke the guarded callable on *payload*, applying all policies.
 
-        Polls the ambient request scope first: an expired deadline or a
-        cancelled request fails here instead of spending a matcher call
-        (and instead of burning retries on work nobody is waiting for).
+        *size* is the row count used for trace spans and error messages
+        (default ``len(payload)``).  Polls the ambient request scope
+        first: an expired deadline or a cancelled request fails here
+        instead of spending a matcher call (and instead of burning
+        retries on work nobody is waiting for).
         """
-        return self.call_with(self.predict_fn, pairs, len(pairs))
-
-    def call_with(self, predict_fn, payload, size: int):
-        """Like :meth:`call`, but for an alternative matcher entry point.
-
-        The prediction engine routes columnar batches through here with
-        the matcher's ``predict_proba_columnar`` — same timeout, retry and
-        circuit-breaker policies, same counters, same breaker state as the
-        per-pair calls (a matcher that is down is down on every entry
-        point).  *size* is the row count, used for trace spans and error
-        messages.
-        """
+        if size is None:
+            size = len(payload)
         checkpoint("matcher call")
-        config = self.config
-        if not config.active:
+        if not self.config.active:
             with trace.span("guard_call", n_pairs=size, active=False):
-                return predict_fn(payload)
+                return self.predict_fn(payload)
         with trace.span("guard_call", n_pairs=size, active=True):
-            return self._call_guarded(predict_fn, payload, size)
+            return self._call_guarded(payload, size)
 
-    def _call_guarded(self, predict_fn, payload, size: int):
+    def _call_guarded(self, payload, size: int):
         config = self.config
         self._gate()
         attempts = config.max_retries + 1
         for attempt in range(attempts):
             try:
-                result = self._invoke(predict_fn, payload, size)
+                result = self._invoke(payload, size)
             except MatcherUnavailableError:
                 raise
             except Exception as error:
@@ -261,7 +252,8 @@ class MatcherGuard:
                 )
             self._state = _HALF_OPEN
 
-    def _invoke(self, predict_fn, payload, size: int):
+    def _invoke(self, payload, size: int):
+        predict_fn = self.predict_fn
         timeout = self.config.call_timeout
         if timeout is None:
             return predict_fn(payload)

@@ -79,8 +79,8 @@ class LandmarkExplainer:
             tokenizer=self.tokenizer, injection_fraction=injection_fraction
         )
         self.reconstructor = PairReconstructor(tokenizer=self.tokenizer)
-        self.engine = engine if engine is not None else PredictionEngine(
-            matcher, tokenizer=self.tokenizer
+        self.engine = (
+            engine if engine is not None else PredictionEngine(matcher)
         )
         self.dataset_reconstructor = DatasetReconstructor(
             matcher, self.reconstructor, engine=self.engine

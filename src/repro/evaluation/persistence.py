@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from repro.config import ExperimentConfig
@@ -99,10 +99,7 @@ def result_from_dict(payload: dict) -> BenchmarkResult:
             f"unsupported result format version {version!r}; "
             f"expected {FORMAT_VERSION}"
         )
-    config_payload = dict(payload["config"])
-    config_payload["methods"] = tuple(config_payload["methods"])
-    config = ExperimentConfig(**config_payload)
-    result = BenchmarkResult(config=config)
+    result = BenchmarkResult(config=_config_from_payload(payload["config"]))
     for code, dataset_payload in payload["datasets"].items():
         quality_payload = dataset_payload.get("matcher_quality")
         quality = MatchQuality(**quality_payload) if quality_payload else None
@@ -172,7 +169,13 @@ def _config_payload(config: ExperimentConfig) -> dict:
 
 
 def _config_from_payload(payload: dict) -> ExperimentConfig:
-    payload = dict(payload)
+    """The config of a run file; keys of retired fields are dropped.
+
+    Run files written before a field was retired (the per-pair/columnar
+    engine switch, for one) still load and resume.
+    """
+    known = {item.name for item in fields(ExperimentConfig)}
+    payload = {key: value for key, value in payload.items() if key in known}
     payload["methods"] = tuple(payload["methods"])
     return ExperimentConfig(**payload)
 

@@ -24,15 +24,17 @@ DEFAULT_THRESHOLD = 0.5
 
 
 class EntityMatcher(ABC):
-    """Abstract base class of every EM model."""
+    """Abstract base class of every EM model.
 
-    #: Whether :meth:`predict_proba_columnar` is implemented.  Matchers
-    #: that can score a perturbation batch straight from its columnar
-    #: form (without materializing pairs) set this to True; callers fall
-    #: back to :meth:`predict_proba` otherwise.  Wrappers (test doubles,
-    #: counting/fault-injection shims) inherit the False default, which
-    #: safely routes them through the per-pair path.
-    supports_columnar: bool = False
+    Matchers that can score a columnar perturbation batch without
+    materializing pairs (logistic regression, boosted stumps, the MLP)
+    also define ``predict_proba_columnar(batch)``: shape
+    ``(batch.n_rows,)``, and row *i*'s probability **bit-identical** to
+    what :meth:`predict_proba` returns for the materialized pair of row
+    *i*, whatever batch it rides in.  Callers never probe for it
+    themselves — :func:`score_batch` is the one place that picks the
+    entry point.
+    """
 
     @abstractmethod
     def fit(self, dataset: EMDataset) -> "EntityMatcher":
@@ -41,20 +43,6 @@ class EntityMatcher(ABC):
     @abstractmethod
     def predict_proba(self, pairs: Sequence[RecordPair]) -> np.ndarray:
         """Match probabilities, shape ``(len(pairs),)``, values in [0, 1]."""
-
-    def predict_proba_columnar(self, batch: "ColumnarPairBatch") -> np.ndarray:
-        """Match probabilities for a columnar perturbation batch.
-
-        The contract mirrors :meth:`predict_proba` — shape
-        ``(batch.n_rows,)`` — with one hard extra requirement: row *i*'s
-        probability must be **bit-identical** to what ``predict_proba``
-        would return for the materialized pair of row *i*, whatever batch
-        it rides in (the prediction engine's equivalence bar).  Only
-        matchers with ``supports_columnar = True`` implement this.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support columnar prediction"
-        )
 
     def predict(
         self,
@@ -67,3 +55,21 @@ class EntityMatcher(ABC):
     def predict_one(self, pair: RecordPair) -> float:
         """Match probability of a single pair."""
         return float(self.predict_proba([pair])[0])
+
+
+def score_batch(matcher, batch: "ColumnarPairBatch") -> np.ndarray:
+    """Match probabilities for a columnar batch through *matcher*.
+
+    Matchers whose class defines ``predict_proba_columnar`` score the
+    batch directly; every other matcher — embedding, rules, calibration
+    wrappers, duck-typed doubles exposing only ``predict_proba`` — sees
+    the materialized :meth:`~repro.core.columnar.ColumnarPairBatch.pairs`.
+    The lookup is on the class, so a wrapper that delegates unknown
+    attributes to an inner matcher (``__getattr__``) still answers
+    through its own ``predict_proba``.  Both routes give bit-identical
+    probabilities.
+    """
+    columnar = getattr(type(matcher), "predict_proba_columnar", None)
+    if columnar is None:
+        return matcher.predict_proba(batch.pairs())
+    return columnar(matcher, batch)

@@ -50,8 +50,6 @@ class Stump:
 class GradientBoostedStumpsMatcher(EntityMatcher):
     """Boosted-stump classifier on per-attribute similarity features."""
 
-    supports_columnar = True
-
     def __init__(
         self,
         n_stumps: int = 80,
@@ -182,6 +180,8 @@ class GradientBoostedStumpsMatcher(EntityMatcher):
         return self._score_features(self.extractor.transform(pairs))
 
     def predict_proba_columnar(self, batch) -> np.ndarray:
+        """Probabilities for a columnar batch, bit-identical to
+        :meth:`predict_proba` on its materialized pairs."""
         if self.extractor is None or not self.stumps_:
             raise ModelNotFittedError(
                 "GradientBoostedStumpsMatcher used before fit()"

@@ -36,8 +36,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class LogisticRegressionMatcher(EntityMatcher):
     """Logistic regression over per-attribute similarity features."""
 
-    supports_columnar = True
-
     def __init__(
         self,
         l2: float = 10.0,
@@ -148,6 +146,8 @@ class LogisticRegressionMatcher(EntityMatcher):
         return self._score_features(extractor.transform(pairs))
 
     def predict_proba_columnar(self, batch) -> np.ndarray:
+        """Probabilities for a columnar batch, bit-identical to
+        :meth:`predict_proba` on its materialized pairs."""
         extractor = self._require_fitted()
         if batch.n_rows == 0:
             return np.empty(0, dtype=np.float64)

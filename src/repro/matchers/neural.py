@@ -26,8 +26,6 @@ from repro.matchers.logistic import _sigmoid
 class MLPMatcher(EntityMatcher):
     """Feed-forward network: features → hidden tanh layers → sigmoid."""
 
-    supports_columnar = True
-
     def __init__(
         self,
         hidden_sizes: tuple[int, ...] = (32, 16),
@@ -156,6 +154,8 @@ class MLPMatcher(EntityMatcher):
         return probabilities
 
     def predict_proba_columnar(self, batch) -> np.ndarray:
+        """Probabilities for a columnar batch, bit-identical to
+        :meth:`predict_proba` on its materialized pairs."""
         if self.extractor is None or not self._weights:
             raise ModelNotFittedError("MLPMatcher used before fit()")
         if batch.n_rows == 0:

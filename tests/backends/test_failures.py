@@ -29,7 +29,7 @@ from repro.testing.chaos import (
     backend_latency,
 )
 
-from tests.backends.test_remote import RecordingMatcher
+from tests.backends.test_remote import RecordingMatcher, named_pairs
 
 
 def _free_port() -> int:
@@ -52,7 +52,7 @@ class TestTaxonomy:
         backend = RemoteBackend(("127.0.0.1", _free_port()), config=_config())
         try:
             with pytest.raises(BackendUnavailableError) as info:
-                backend.predict_proba(["p"])
+                backend.predict_proba(named_pairs("p"))
         finally:
             backend.close()
         assert is_retryable(info.value)
@@ -66,7 +66,7 @@ class TestTaxonomy:
             )
             try:
                 with pytest.raises(MatcherTimeoutError) as info:
-                    backend.predict_proba(["p"])
+                    backend.predict_proba(named_pairs("p"))
             finally:
                 backend.close()
         assert is_retryable(info.value)
@@ -79,7 +79,7 @@ class TestTaxonomy:
             backend = RemoteBackend(server.address, config=_config())
             try:
                 with pytest.raises(BackendUnavailableError) as info:
-                    backend.predict_proba(["p"])
+                    backend.predict_proba(named_pairs("p"))
             finally:
                 backend.close()
         assert is_retryable(info.value)
@@ -94,7 +94,7 @@ class TestTaxonomy:
             )
             try:
                 with pytest.raises(BackendProtocolError) as info:
-                    backend.predict_proba(["p"])
+                    backend.predict_proba(named_pairs("p"))
                 # Fail-fast: a garbage-speaking peer burns no retries.
                 assert backend.guard_stats.guard_retries == 0
             finally:
@@ -118,7 +118,7 @@ class TestRecovery:
                 server.address, config=_config(max_retries=2),
             )
             try:
-                scores = backend.predict_proba(["p", "q"])
+                scores = backend.predict_proba(named_pairs("p", "q"))
                 np.testing.assert_array_equal(
                     scores, np.linspace(0.0, 1.0, 2)
                 )
@@ -134,17 +134,17 @@ class TestRecovery:
         try:
             for _ in range(2):
                 with pytest.raises(BackendUnavailableError):
-                    backend.predict_proba(["p"])
+                    backend.predict_proba(named_pairs("p"))
             health = backend.health()
             assert health["breaker"] == "open"
             assert health["available"] is False
             # Fast-fail while open (no dial attempt burns the cooldown).
             with pytest.raises(BackendUnavailableError):
-                backend.predict_proba(["p"])
+                backend.predict_proba(named_pairs("p"))
             # The server comes back on the same address: the half-open
             # probe passes and the breaker closes — automatic recovery.
             with MatcherServer(RecordingMatcher(), port=port) as _server:
-                scores = backend.predict_proba(["p", "q", "r"])
+                scores = backend.predict_proba(named_pairs("p", "q", "r"))
                 assert scores.shape == (3,)
                 assert backend.health()["available"] is True
                 assert backend.health()["breaker"] == "closed"
@@ -157,13 +157,13 @@ class TestRecovery:
         backend = RemoteBackend(("127.0.0.1", port), config=config)
         try:
             with MatcherServer(RecordingMatcher(), port=port) as _first:
-                backend.predict_proba(["p"])
+                backend.predict_proba(named_pairs("p"))
             with pytest.raises(BackendUnavailableError):
-                backend.predict_proba(["p"])  # server gone
+                backend.predict_proba(named_pairs("p"))  # server gone
             # Same address, different weights: every cache downstream is
             # keyed by the old fingerprint, so the reconnect must refuse.
             with MatcherServer(beer_matcher, port=port) as _second:
                 with pytest.raises(BackendProtocolError, match="changed"):
-                    backend.predict_proba(["p"])
+                    backend.predict_proba(named_pairs("p"))
         finally:
             backend.close()

@@ -17,6 +17,8 @@ from repro.backends.client import (
 from repro.backends.server import MatcherServer
 from repro.core.columnar import ColumnarPairBatch, ValueColumn
 from repro.core.serialize import matcher_fingerprint
+from repro.data.records import RecordPair
+from repro.data.schema import PairSchema
 from repro.exceptions import BackendProtocolError, ConfigurationError
 from repro.obs.metrics import MetricsRegistry
 
@@ -27,12 +29,24 @@ FAST_CONFIG = RemoteBackendConfig(
 )
 
 
-class RecordingMatcher:
-    """A picklable double that records batch sizes and completion order.
+_NAME_SCHEMA = PairSchema(("name",))
 
-    Batches whose first element is the string ``"slow"`` sleep before
-    returning, so concurrent server workers finish out of submission
-    order — the property the pipelined client must tolerate.
+
+def named_pairs(*names: str) -> list[RecordPair]:
+    """One single-attribute pair per name; the left value carries it."""
+    return [
+        RecordPair(schema=_NAME_SCHEMA, left={"name": name},
+                   right={"name": ""})
+        for name in names
+    ]
+
+
+class RecordingMatcher:
+    """A picklable pairs-only double recording batch sizes and order.
+
+    Batches whose first pair is named ``"slow"`` (see :func:`named_pairs`)
+    sleep before returning, so concurrent server workers finish out of
+    submission order — the property the pipelined client must tolerate.
     """
 
     def __init__(self, delay: float = 0.0) -> None:
@@ -42,13 +56,13 @@ class RecordingMatcher:
         self._lock = threading.Lock()
 
     def predict_proba(self, pairs):
-        pairs = list(pairs)
-        if pairs and pairs[0] == "slow":
+        names = [pair.left["name"] for pair in pairs]
+        if names and names[0] == "slow":
             time.sleep(self.delay)
         with self._lock:
-            self.batches.append(len(pairs))
-            self.completed.append(str(pairs[0]) if pairs else "")
-        return np.linspace(0.0, 1.0, len(pairs))
+            self.batches.append(len(names))
+            self.completed.append(names[0] if names else "")
+        return np.linspace(0.0, 1.0, len(names))
 
 
 def _constant_batch(pair, n_rows: int) -> ColumnarPairBatch:
@@ -89,7 +103,6 @@ class TestHandshake:
         server, backend = served
         caps = backend.capabilities()
         assert caps.fingerprint == matcher_fingerprint(beer_matcher)
-        assert caps.supports_columnar is True
         assert caps.max_batch_size == DEFAULT_MAX_BATCH_SIZE
         assert caps.matcher_class == type(beer_matcher).__name__
 
@@ -147,7 +160,9 @@ class TestPipelining:
                 server.address, config=FAST_CONFIG, metrics=registry,
             )
             try:
-                scores = backend.predict_proba([f"p{i}" for i in range(30)])
+                scores = backend.predict_proba(
+                    named_pairs(*(f"p{i}" for i in range(30)))
+                )
             finally:
                 backend.close()
         # 30 rows over an 8-row server max = 4 wire requests (their
@@ -167,7 +182,8 @@ class TestPipelining:
                 # First chunk is slow; the second completes first on the
                 # server (two workers), so its response frame arrives
                 # out of order.
-                pairs = ["slow", "a", "b", "c", "fast", "d", "e", "f"]
+                pairs = named_pairs("slow", "a", "b", "c",
+                                    "fast", "d", "e", "f")
                 scores = backend.predict_proba(pairs)
             finally:
                 backend.close()
@@ -185,7 +201,9 @@ class TestPipelining:
         with MatcherServer(matcher, max_batch_size=64) as server:
             backend = RemoteBackend(server.address, config=config)
             try:
-                backend.predict_proba([f"p{i}" for i in range(12)])
+                backend.predict_proba(
+                    named_pairs(*(f"p{i}" for i in range(12)))
+                )
             finally:
                 backend.close()
         assert sorted(matcher.batches) == [2, 5, 5]
@@ -236,18 +254,47 @@ class TestServerSurface:
 
     def test_oversized_batch_is_refused(self):
         matcher = RecordingMatcher()
+        batch = ColumnarPairBatch.from_pairs(
+            named_pairs(*(str(i) for i in range(9)))
+        )
         with MatcherServer(matcher, max_batch_size=4) as server:
             sock, send_frame, read_frame = self._dial(server)
             try:
                 # Bypass the client's splitting to hit the server check.
-                send_frame(sock, {"op": "predict", "id": 1,
-                                  "pairs": list(range(9))})
+                send_frame(sock, {"op": "predict_columnar", "id": 1,
+                                  "batch": batch})
                 reply = read_frame(sock)
             finally:
                 sock.close()
         assert reply["ok"] is False
         assert "exceeds the advertised max" in reply["error"]
         assert matcher.batches == []  # never reached the model
+
+    def test_wrong_payload_type_is_refused(self):
+        matcher = RecordingMatcher()
+        with MatcherServer(matcher) as server:
+            sock, send_frame, read_frame = self._dial(server)
+            try:
+                send_frame(sock, {"op": "predict_columnar", "id": 2,
+                                  "batch": named_pairs("a", "b")})
+                reply = read_frame(sock)
+            finally:
+                sock.close()
+        assert reply["ok"] is False
+        assert "needs a ColumnarPairBatch" in reply["error"]
+        assert matcher.batches == []  # never reached the model
+
+    def test_retired_pairs_op_is_bad_request(self, served):
+        server, _ = served
+        sock, send_frame, read_frame = self._dial(server)
+        try:
+            send_frame(sock, {"op": "predict", "id": 3,
+                              "pairs": named_pairs("a")})
+            reply = read_frame(sock)
+        finally:
+            sock.close()
+        assert reply["ok"] is False
+        assert reply["code"] == "bad_request"
 
     def test_ping_pongs(self, served):
         server, _ = served
@@ -285,16 +332,32 @@ class TestServerSurface:
         assert reply["ok"] is False
         assert reply["code"] == "backend_protocol"
 
-    def test_columnar_refused_without_support(self, match_pair):
+    def test_v1_hello_is_refused(self, served):
+        import socket as socket_module
+
+        from repro.backends.protocol import read_frame, send_frame
+
+        server, _ = served
+        sock = socket_module.create_connection(server.address, timeout=5.0)
+        try:
+            send_frame(sock, {"op": "hello", "id": 0, "protocol": 1})
+            reply = read_frame(sock)
+        finally:
+            sock.close()
+        assert reply["ok"] is False
+        assert reply["code"] == "backend_protocol"
+        assert "needs 2" in reply["error"]
+
+    def test_pairs_only_matcher_is_served_columnar(self):
         matcher = RecordingMatcher()  # no predict_proba_columnar
+        batch = ColumnarPairBatch.from_pairs(named_pairs("a", "b", "c"))
         with MatcherServer(matcher) as server:
             backend = RemoteBackend(server.address, config=FAST_CONFIG)
             try:
-                from repro.exceptions import ServiceError
-
-                with pytest.raises(ServiceError, match="columnar"):
-                    backend.predict_proba_columnar(
-                        _constant_batch(match_pair, 3)
-                    )
+                scores = backend.predict_proba_columnar(batch)
             finally:
                 backend.close()
+        # The server materialized the rows for the pairs-only matcher.
+        np.testing.assert_array_equal(scores, np.linspace(0.0, 1.0, 3))
+        assert matcher.batches == [3]
+        assert matcher.completed == ["a"]

@@ -1,10 +1,16 @@
-"""Bit-identity of the columnar hot path against the per-pair path.
+"""Bit-identity of the columnar hot path against a per-row oracle.
 
 The vectorized perturbation → reconstruction → predict pipeline promises
 *identical* explanation weights — same float64 bits — no matter how the
-work is batched: vectorization on or off, any engine chunk size, one
-request at a time or N coalesced through the service's cross-request
+work is batched: columnar or rebuilt pair by pair, any engine chunk size,
+one request at a time or N coalesced through the service's cross-request
 batch scheduler.  These tests pin that contract.
+
+The oracle never touches the engine: landmark masks go through an
+engine-less :class:`~repro.core.reconstruction.DatasetReconstructor`
+(one :meth:`~repro.core.reconstruction.PairReconstructor.rebuild` per
+mask row, one ``predict_proba`` call on the rebuilt pairs), and Mojito
+batches reach a matcher double that only exposes ``predict_proba``.
 """
 
 from __future__ import annotations
@@ -14,7 +20,9 @@ import pytest
 
 from repro.config import ServiceConfig
 from repro.core.engine import EngineConfig, PredictionEngine
+from repro.core.generation import GENERATION_DOUBLE, GENERATION_SINGLE
 from repro.core.landmark import LandmarkExplainer
+from repro.core.reconstruction import DatasetReconstructor
 from repro.baselines.mojito import (
     MojitoAttributeDropExplainer,
     MojitoCopyExplainer,
@@ -41,6 +49,36 @@ def landmark_weights(matcher, pair, engine_config, samples=48):
     )
 
 
+def oracle_landmark_weights(matcher, pair, samples=48):
+    """Landmark weights computed row by row, without any engine."""
+    explainer = LandmarkExplainer(
+        matcher, lime_config=LimeConfig(n_samples=samples, seed=0), seed=0
+    )
+    explainer.dataset_reconstructor = DatasetReconstructor(
+        matcher, explainer.reconstructor
+    )
+    generation = (
+        GENERATION_SINGLE
+        if matcher.predict_one(pair) >= explainer.threshold
+        else GENERATION_DOUBLE
+    )
+    dual = explainer.explain(pair, generation)
+    return tuple(
+        (entry.key, entry.weight) for entry in dual.combined().entries
+    )
+
+
+class PairsOnlyMatcher:
+    """A matcher double exposing only ``predict_proba``: every batch
+    reaches it as materialized pairs."""
+
+    def __init__(self, matcher):
+        self.matcher = matcher
+
+    def predict_proba(self, pairs):
+        return self.matcher.predict_proba(pairs)
+
+
 def dual_cells(payload):
     return tuple(
         (
@@ -58,12 +96,8 @@ class TestEngineParity:
     def test_vectorized_weights_equal_per_pair_weights(
         self, beer_matcher, non_match_pair
     ):
-        off = landmark_weights(
-            beer_matcher, non_match_pair, EngineConfig(vectorize=False)
-        )
-        on = landmark_weights(
-            beer_matcher, non_match_pair, EngineConfig(vectorize=True)
-        )
+        off = oracle_landmark_weights(beer_matcher, non_match_pair)
+        on = landmark_weights(beer_matcher, non_match_pair, EngineConfig())
         assert off == on
 
     @pytest.mark.parametrize("batch_size", [1, 7, 64, 4096])
@@ -71,12 +105,12 @@ class TestEngineParity:
         self, beer_matcher, non_match_pair, batch_size
     ):
         reference = landmark_weights(
-            beer_matcher, non_match_pair, EngineConfig(vectorize=True)
+            beer_matcher, non_match_pair, EngineConfig()
         )
         chunked = landmark_weights(
             beer_matcher,
             non_match_pair,
-            EngineConfig(vectorize=True, batch_size=batch_size),
+            EngineConfig(batch_size=batch_size),
         )
         assert reference == chunked
 
@@ -85,12 +119,12 @@ class TestEngineParity:
         self, beer_matcher, non_match_pair, dedup, cache
     ):
         reference = landmark_weights(
-            beer_matcher, non_match_pair, EngineConfig(vectorize=True)
+            beer_matcher, non_match_pair, EngineConfig()
         )
         other = landmark_weights(
             beer_matcher,
             non_match_pair,
-            EngineConfig(vectorize=True, dedup=dedup, cache=cache),
+            EngineConfig(dedup=dedup, cache=cache),
         )
         assert reference == other
 
@@ -103,18 +137,17 @@ class TestEngineParity:
     ):
         config = LimeConfig(n_samples=32, seed=0)
 
-        def weights(vectorize):
-            engine = PredictionEngine(
-                beer_matcher, EngineConfig(vectorize=vectorize)
-            )
-            explainer = factory(beer_matcher, config, seed=0, engine=engine)
+        def weights(explainer):
             record = explainer.explain(non_match_pair)
             return tuple(
                 (entry.key, entry.weight)
                 for entry in record.token_weights.entries
             )
 
-        assert weights(False) == weights(True)
+        oracle = factory(PairsOnlyMatcher(beer_matcher), config, seed=0)
+        engine = PredictionEngine(beer_matcher, EngineConfig())
+        columnar = factory(beer_matcher, config, seed=0, engine=engine)
+        assert weights(oracle) == weights(columnar)
 
     def test_capacity_branch_beyond_62_tokens(self, beer_matcher):
         # n_features > 62 drops sample_masks into the unbounded-capacity
@@ -128,12 +161,8 @@ class TestEngineParity:
         pair = RecordPair(
             schema=schema, left=wide, right=narrow, label=NON_MATCH
         )
-        off = landmark_weights(
-            beer_matcher, pair, EngineConfig(vectorize=False), samples=24
-        )
-        on = landmark_weights(
-            beer_matcher, pair, EngineConfig(vectorize=True), samples=24
-        )
+        off = oracle_landmark_weights(beer_matcher, pair, samples=24)
+        on = landmark_weights(beer_matcher, pair, EngineConfig(), samples=24)
         assert off == on
 
 
