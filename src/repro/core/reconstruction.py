@@ -53,8 +53,9 @@ class PairReconstructor:
         """The rebuilt varying entity's values, in schema attribute order.
 
         This is :meth:`rebuild` without materializing a
-        :class:`~repro.data.records.RecordPair` — the prediction engine
-        fingerprints masks with it and only builds pairs on cache misses.
+        :class:`~repro.data.records.RecordPair`.  Through :meth:`rebuild`
+        it is the per-row oracle the columnar batches of
+        :mod:`repro.core.columnar` are tested against.
         """
         if len(mask) != len(instance.tokens):
             raise ValueError(
