@@ -62,6 +62,7 @@ class BlockingReport:
         )
 
 
+@dataclass(frozen=True)
 class InvertedIndexBlocker:
     """Candidate generation: pairs sharing ≥ *min_shared_tokens* tokens.
 
@@ -72,23 +73,23 @@ class InvertedIndexBlocker:
     everything.
     """
 
-    def __init__(
-        self,
-        attributes: Sequence[str] | None = None,
-        min_shared_tokens: int = 1,
-        max_token_frequency: float = 0.25,
-    ) -> None:
-        if min_shared_tokens < 1:
+    attributes: Sequence[str] | None = None
+    min_shared_tokens: int = 1
+    max_token_frequency: float = 0.25
+
+    def __post_init__(self) -> None:
+        if self.min_shared_tokens < 1:
             raise ConfigurationError(
-                f"min_shared_tokens must be >= 1, got {min_shared_tokens}"
+                f"min_shared_tokens must be >= 1, got {self.min_shared_tokens}"
             )
-        if not 0.0 < max_token_frequency <= 1.0:
+        if not 0.0 < self.max_token_frequency <= 1.0:
             raise ConfigurationError(
-                f"max_token_frequency must be in (0, 1], got {max_token_frequency}"
+                "max_token_frequency must be in (0, 1], "
+                f"got {self.max_token_frequency}"
             )
-        self.attributes = tuple(attributes) if attributes else None
-        self.min_shared_tokens = min_shared_tokens
-        self.max_token_frequency = max_token_frequency
+        object.__setattr__(
+            self, "attributes", tuple(self.attributes) if self.attributes else None
+        )
 
     def _entity_tokens(self, entity: Entity) -> set[str]:
         attributes = self.attributes or tuple(entity.keys())

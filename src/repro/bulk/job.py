@@ -76,10 +76,10 @@ class BulkJobSpec:
     reasoning about it.
     """
 
-    method: str = "both"
-    samples: int = 128
-    explainer: str = "lime"
-    seed: int = 0
+    method: str = ExplainRequest.method
+    samples: int = ExplainRequest.samples
+    explainer: str = ExplainRequest.explainer
+    seed: int = ExplainRequest.seed
     chunk_size: int = 64
 
     def __post_init__(self) -> None:

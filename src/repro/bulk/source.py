@@ -109,23 +109,15 @@ class BlockedSource:
     proposes (left row, right row) candidates, each materialized as an
     unlabelled cross pair.  The candidate list is sorted, so the stream
     order — and therefore the resume journal — is deterministic.
+    *blocker_options* are :class:`~repro.blocking.InvertedIndexBlocker`'s
+    (``attributes``, ``min_shared_tokens``, ``max_token_frequency``).
     """
 
     kind = "block"
 
-    def __init__(
-        self,
-        dataset: EMDataset,
-        attributes: tuple[str, ...] | None = None,
-        min_shared_tokens: int = 1,
-        max_token_frequency: float = 0.25,
-    ) -> None:
+    def __init__(self, dataset: EMDataset, **blocker_options) -> None:
         self.dataset = dataset
-        self.blocker = InvertedIndexBlocker(
-            attributes=attributes,
-            min_shared_tokens=min_shared_tokens,
-            max_token_frequency=max_token_frequency,
-        )
+        self.blocker = InvertedIndexBlocker(**blocker_options)
 
     def pairs(self) -> list[RecordPair]:
         left_table = [dict(pair.left) for pair in self.dataset.pairs]

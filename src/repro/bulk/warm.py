@@ -67,10 +67,10 @@ def precompute(
     service: ExplanationService,
     dataset: EMDataset,
     per_label: int | None = None,
-    method: str = "both",
-    samples: int = 128,
-    explainer: str = "lime",
-    seed: int = 0,
+    method: str = ExplainRequest.method,
+    samples: int = ExplainRequest.samples,
+    explainer: str = ExplainRequest.explainer,
+    seed: int = ExplainRequest.seed,
     resume: bool = False,
     journal_dir: str | Path | None = None,
 ) -> PrecomputeReport:

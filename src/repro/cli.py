@@ -50,7 +50,17 @@ import os
 import sys
 from pathlib import Path
 
-from repro.config import get_preset
+from repro.backends import DEFAULT_MAX_BATCH_SIZE
+from repro.blocking import InvertedIndexBlocker
+from repro.bulk import BulkJobSpec
+from repro.config import (
+    PRESETS,
+    ExperimentConfig,
+    ServiceConfig,
+    ShardConfig,
+    StoreConfig,
+    get_preset,
+)
 from repro.core.engine import EngineConfig, PredictionEngine
 from repro.data.io import write_csv
 from repro.data.splits import sample_per_label
@@ -67,12 +77,18 @@ from repro.evaluation.runner import ExperimentRunner
 from repro.evaluation.tables import format_all_tables, format_table1
 from repro.exceptions import ExplanationError, ReproError
 from repro.explainers.lime_text import LimeConfig
+from repro.matchers.base import DEFAULT_THRESHOLD
 from repro.matchers.evaluate import evaluate_matcher
 from repro.matchers.boosting import GradientBoostedStumpsMatcher
 from repro.matchers.embedding import EmbeddingMatcher
 from repro.matchers.logistic import LogisticRegressionMatcher
 from repro.matchers.neural import MLPMatcher
 from repro.matchers.rules import RuleBasedMatcher
+from repro.service.request import (
+    REQUEST_EXPLAINERS,
+    REQUEST_METHODS,
+    ExplainRequest,
+)
 
 _MATCHERS = {
     "logistic": LogisticRegressionMatcher,
@@ -83,28 +99,60 @@ _MATCHERS = {
 }
 
 
-def _add_common_dataset_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--dataset", default="S-BR", choices=DATASET_CODES, help="benchmark code"
-    )
+# ---------------------------------------------------------------------------
+# Flag groups.  Each group is registered by one function, reads its defaults
+# from the dataclass it configures, and is turned back into that dataclass
+# by one builder below.
+# ---------------------------------------------------------------------------
+
+
+def _add_dataset_arguments(
+    parser: argparse.ArgumentParser, dataset: bool = True
+) -> None:
+    if dataset:
+        parser.add_argument(
+            "--dataset", default="S-BR", choices=DATASET_CODES,
+            help="benchmark code",
+        )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--size-cap", type=int, default=None, help="cap the generated dataset size"
     )
 
 
-def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_matcher_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--n-jobs", type=int, default=1,
+        "--matcher", default="logistic", choices=sorted(_MATCHERS)
+    )
+    parser.add_argument(
+        "--model-dir", type=Path, default=None,
+        help="persist/load trained matchers as fingerprinted artifacts "
+             "here instead of retraining on every invocation",
+    )
+
+
+def _add_engine_arguments(
+    parser: argparse.ArgumentParser, guard: bool = True
+) -> None:
+    """The :class:`EngineConfig` flags, plus the observability flags every
+    engine-running command takes."""
+    parser.add_argument(
+        "--n-jobs", type=int, default=EngineConfig.n_jobs,
         help="threads per prediction batch (model calls run in parallel)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
         help="disable the prediction cache (results are identical either way)",
     )
-
-
-def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
+    if guard:
+        parser.add_argument(
+            "--max-retries", type=int, default=EngineConfig.max_retries,
+            help="retry failing matcher calls up to N times (guard)",
+        )
+        parser.add_argument(
+            "--call-timeout", type=float, default=EngineConfig.call_timeout,
+            help="abandon a matcher call after this many seconds (guard)",
+        )
     parser.add_argument(
         "--trace", nargs="?", const="trace.json", default=None, metavar="PATH",
         help="record pipeline trace spans and write them as JSON on exit "
@@ -116,110 +164,103 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _obs_registry(args: argparse.Namespace):
-    """The run's metrics registry, honouring --trace / --no-metrics."""
-    from repro.obs import MetricsRegistry, trace
-
-    if getattr(args, "trace", None) is not None:
-        trace.enable()
-    return MetricsRegistry(enabled=not getattr(args, "no_metrics", False))
-
-
-def _obs_finish(args: argparse.Namespace, registry,
-                metrics_path: Path | None = None) -> None:
-    """Write the trace / metrics artifacts the flags asked for."""
-    from repro.evaluation.persistence import save_metrics
-    from repro.obs import trace
-
-    if getattr(args, "trace", None) is not None:
-        path = trace.save(args.trace)
-        trace.disable()
-        print(f"wrote {path}", file=sys.stderr)
-    if metrics_path is not None and registry.enabled:
-        save_metrics(registry, metrics_path)
-        print(f"wrote {metrics_path}", file=sys.stderr)
-
-
-def _add_model_dir_argument(parser: argparse.ArgumentParser) -> None:
+def _add_store_arguments(
+    parser: argparse.ArgumentParser, store_help: str
+) -> None:
+    parser.add_argument("--store-dir", type=Path, default=None, help=store_help)
     parser.add_argument(
-        "--model-dir", type=Path, default=None,
-        help="persist/load trained matchers as fingerprinted artifacts "
-             "here instead of retraining on every invocation",
+        "--store-max-entries", type=int, default=StoreConfig.max_entries,
+        help="LRU capacity of the explanation store",
+    )
+    parser.add_argument(
+        "--store-ttl", type=float, default=StoreConfig.ttl_seconds,
+        help="expire stored explanations older than this many seconds",
+    )
+
+
+def _add_samples_argument(
+    parser: argparse.ArgumentParser, default: int = ExplainRequest.samples
+) -> None:
+    parser.add_argument(
+        "--samples", type=int, default=default,
+        help="perturbation budget per explanation",
+    )
+
+
+def _add_request_arguments(
+    parser: argparse.ArgumentParser,
+    method: bool = False,
+    samples: int = ExplainRequest.samples,
+) -> None:
+    """The :class:`ExplainRequest` flags (``--method`` only where asked)."""
+    if method:
+        parser.add_argument(
+            "--method", default=ExplainRequest.method, choices=REQUEST_METHODS
+        )
+    _add_samples_argument(parser, samples)
+    parser.add_argument(
+        "--explainer", default=ExplainRequest.explainer,
+        choices=REQUEST_EXPLAINERS,
+        help="generic explainer to couple with the landmark pipeline",
+    )
+
+
+def _add_bind_arguments(parser: argparse.ArgumentParser, port: int) -> None:
+    parser.add_argument("--host", default="127.0.0.1", help="bind address")
+    parser.add_argument(
+        "--port", type=int, default=port,
+        help="bind port (0 picks an ephemeral one)",
     )
 
 
 def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--matcher", default="logistic", choices=sorted(_MATCHERS)
-    )
-    _add_model_dir_argument(parser)
-    parser.add_argument(
-        "--store-dir", type=Path, default=None,
-        help="directory of the persistent explanation store",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=2, help="explanation worker threads"
+    """Everything ``serve`` and ``precompute`` share: matcher, store,
+    :class:`ServiceConfig`, :class:`ShardConfig`, request and engine flags."""
+    _add_dataset_arguments(parser)
+    _add_matcher_arguments(parser)
+    _add_store_arguments(
+        parser, "directory of the persistent explanation store"
     )
     parser.add_argument(
-        "--queue-size", type=int, default=256,
+        "--workers", type=int, default=ServiceConfig.n_workers,
+        help="explanation worker threads",
+    )
+    parser.add_argument(
+        "--queue-size", type=int, default=ServiceConfig.queue_size,
         help="bound of the pending-request priority queue",
     )
     parser.add_argument(
-        "--store-max-entries", type=int, default=10_000,
-        help="LRU capacity of the explanation store",
-    )
-    parser.add_argument(
-        "--store-ttl", type=float, default=None,
-        help="expire stored explanations older than this many seconds",
-    )
-    parser.add_argument(
-        "--samples", type=int, default=128,
-        help="default perturbation budget per request",
-    )
-    parser.add_argument(
-        "--explainer", default="lime", choices=("lime", "shap"),
-        help="default generic explainer per request",
-    )
-    parser.add_argument(
-        "--max-retries", type=int, default=0,
-        help="retry failing matcher calls up to N times (guard)",
-    )
-    parser.add_argument(
-        "--call-timeout", type=float, default=None,
-        help="abandon a matcher call after this many seconds (guard)",
-    )
-    parser.add_argument(
-        "--shed-threshold", type=int, default=None,
+        "--shed-threshold", type=int, default=ServiceConfig.shed_threshold,
         help="shed new requests (HTTP 429) once this many are queued",
     )
     parser.add_argument(
-        "--max-queue-wait", type=float, default=None,
+        "--max-queue-wait", type=float, default=ServiceConfig.max_queue_wait,
         help="shed new requests once the estimated queue wait exceeds "
              "this many seconds",
     )
     parser.add_argument(
-        "--deadline", type=float, default=None,
+        "--deadline", type=float, default=ServiceConfig.default_deadline,
         help="default per-request latency budget in seconds; a request "
              "past its deadline aborts between matcher chunks",
     )
     parser.add_argument(
-        "--drain-timeout", type=float, default=30.0,
+        "--drain-timeout", type=float, default=ServiceConfig.drain_timeout,
         help="seconds a graceful shutdown (SIGTERM / close) may spend "
              "finishing queued work before cancelling it",
     )
     parser.add_argument(
-        "--batch-window-ms", type=float, default=0.0,
+        "--batch-window-ms", type=float, default=ServiceConfig.batch_window_ms,
         help="coalesce concurrent requests' matcher batches within this "
              "window (0 disables cross-request batching; results are "
              "bit-identical either way)",
     )
     parser.add_argument(
-        "--batch-max-size", type=int, default=1024,
+        "--batch-max-size", type=int, default=ServiceConfig.batch_max_size,
         help="flush a coalesced matcher batch once this many rows are "
              "pending (only with --batch-window-ms > 0)",
     )
     parser.add_argument(
-        "--shards", type=int, default=1,
+        "--shards", type=int, default=ShardConfig.n_shards,
         help="worker processes, each owning a matcher, a prediction "
              "engine and its own store partition, fronted by a "
              "consistent-hash router and a supervising shard manager; "
@@ -227,40 +268,43 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
              "bit-identical to previous releases",
     )
     parser.add_argument(
-        "--virtual-nodes", type=int, default=64,
+        "--virtual-nodes", type=int, default=ShardConfig.virtual_nodes,
         help="ring positions per shard on the consistent-hash router "
              "(only with --shards > 1)",
     )
     parser.add_argument(
-        "--heartbeat-interval", type=float, default=0.5,
+        "--heartbeat-interval", type=float,
+        default=ShardConfig.heartbeat_interval,
         help="seconds between shard liveness heartbeats",
     )
     parser.add_argument(
-        "--heartbeat-timeout", type=float, default=5.0,
+        "--heartbeat-timeout", type=float,
+        default=ShardConfig.heartbeat_timeout,
         help="a shard silent this long is declared hung and restarted",
     )
     parser.add_argument(
-        "--restart-backoff", type=float, default=0.5,
+        "--restart-backoff", type=float,
+        default=ShardConfig.restart_backoff_base,
         help="base seconds of the capped exponential backoff between "
              "shard restarts",
     )
     parser.add_argument(
-        "--max-failovers", type=int, default=1,
+        "--max-failovers", type=int, default=ShardConfig.max_failovers,
         help="times an in-flight request may fail over to another shard "
              "after a crash before returning a retryable 503",
     )
     parser.add_argument(
-        "--connect-timeout", type=float, default=5.0,
+        "--connect-timeout", type=float, default=ShardConfig.connect_timeout,
         help="per-attempt TCP dial timeout to a fleet shard host "
              "(only with --fleet)",
     )
     parser.add_argument(
-        "--connect-budget", type=float, default=30.0,
+        "--connect-budget", type=float, default=ShardConfig.connect_budget,
         help="total seconds of dial-with-retry per launch cycle before "
              "it counts as a failed connect (only with --fleet)",
     )
     parser.add_argument(
-        "--host-loss-after", type=int, default=3,
+        "--host-loss-after", type=int, default=ShardConfig.host_loss_after,
         help="consecutive failed connect cycles before a fleet host is "
              "declared lost and replaced by a standby (only with --fleet)",
     )
@@ -279,7 +323,68 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
              "local processes; the file's shard count overrides --shards",
     )
     _add_engine_arguments(parser)
-    _add_obs_arguments(parser)
+
+
+def _engine_config(args: argparse.Namespace) -> EngineConfig:
+    guard = {}
+    if hasattr(args, "max_retries"):
+        guard = {"max_retries": args.max_retries,
+                 "call_timeout": args.call_timeout}
+    return EngineConfig(cache=not args.no_cache, n_jobs=args.n_jobs, **guard)
+
+
+def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
+    engine = _engine_config(args)
+    return dataclasses.replace(
+        get_preset(args.preset),
+        engine_n_jobs=engine.n_jobs,
+        engine_cache=engine.cache,
+        guard_max_retries=engine.max_retries,
+        guard_call_timeout=engine.call_timeout,
+    )
+
+
+def _store_config(args: argparse.Namespace) -> StoreConfig:
+    return StoreConfig(
+        max_entries=args.store_max_entries, ttl_seconds=args.store_ttl
+    )
+
+
+def _service_config(args: argparse.Namespace) -> ServiceConfig:
+    return ServiceConfig(
+        n_workers=args.workers,
+        queue_size=args.queue_size,
+        shed_threshold=args.shed_threshold,
+        max_queue_wait=args.max_queue_wait,
+        default_deadline=args.deadline,
+        drain_timeout=args.drain_timeout,
+        batch_window_ms=args.batch_window_ms,
+        batch_max_size=args.batch_max_size,
+    )
+
+
+def _shard_config(args: argparse.Namespace) -> ShardConfig:
+    return ShardConfig(
+        n_shards=args.shards,
+        virtual_nodes=args.virtual_nodes,
+        heartbeat_interval=args.heartbeat_interval,
+        heartbeat_timeout=args.heartbeat_timeout,
+        restart_backoff_base=args.restart_backoff,
+        max_failovers=args.max_failovers,
+        connect_timeout=args.connect_timeout,
+        connect_budget=args.connect_budget,
+        host_loss_after=args.host_loss_after,
+    )
+
+
+def _bulk_spec(args: argparse.Namespace) -> BulkJobSpec:
+    return BulkJobSpec(
+        method=args.method,
+        samples=args.samples,
+        explainer=args.explainer,
+        seed=args.seed,
+        chunk_size=args.chunk_size,
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -293,40 +398,30 @@ def _build_parser() -> argparse.ArgumentParser:
     datasets = subparsers.add_parser("datasets", help="print/export Table 1")
     datasets.add_argument("--materialize", action="store_true")
     datasets.add_argument("--export-dir", type=Path, default=None)
-    datasets.add_argument("--seed", type=int, default=0)
-    datasets.add_argument("--size-cap", type=int, default=None)
+    _add_dataset_arguments(datasets, dataset=False)
 
     train = subparsers.add_parser("train", help="train and evaluate a matcher")
-    _add_common_dataset_arguments(train)
-    train.add_argument("--matcher", default="logistic", choices=sorted(_MATCHERS))
-    train.add_argument("--threshold", type=float, default=0.5)
-    _add_model_dir_argument(train)
+    _add_dataset_arguments(train)
+    _add_matcher_arguments(train)
+    train.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
 
     explain = subparsers.add_parser("explain", help="explain one record")
-    _add_common_dataset_arguments(explain)
-    explain.add_argument(
-        "--matcher", default="logistic", choices=sorted(_MATCHERS)
-    )
-    _add_model_dir_argument(explain)
+    _add_dataset_arguments(explain)
+    _add_matcher_arguments(explain)
     explain.add_argument("--record", type=int, default=0, help="record index")
     explain.add_argument(
         "--generation", default="auto", choices=("auto", "single", "double")
     )
-    explain.add_argument("--samples", type=int, default=256)
+    _add_request_arguments(explain, samples=LimeConfig.n_samples)
     explain.add_argument("--top", type=int, default=5)
-    explain.add_argument(
-        "--explainer", default="lime", choices=("lime", "shap"),
-        help="generic explainer to couple with the landmark pipeline",
-    )
     explain.add_argument(
         "--baselines", action="store_true", help="also run LIME drop / Mojito copy"
     )
-    _add_engine_arguments(explain)
-    _add_obs_arguments(explain)
+    _add_engine_arguments(explain, guard=False)
 
     experiment = subparsers.add_parser("experiment", help="run Tables 2-4")
     experiment.add_argument(
-        "--preset", default="fast", choices=("fast", "paper", "bench")
+        "--preset", default="fast", choices=tuple(PRESETS)
     )
     experiment.add_argument(
         "--datasets", nargs="*", default=None, choices=DATASET_CODES, metavar="CODE"
@@ -345,22 +440,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="resume the run checkpointed in --run-dir (config is read "
              "from the checkpoint; completed cells are skipped)",
     )
-    experiment.add_argument(
-        "--max-retries", type=int, default=0,
-        help="retry failing matcher calls up to N times (guard)",
-    )
-    experiment.add_argument(
-        "--call-timeout", type=float, default=None,
-        help="abandon a matcher call after this many seconds (guard)",
-    )
     _add_engine_arguments(experiment)
-    _add_obs_arguments(experiment)
 
     serve = subparsers.add_parser(
         "serve", help="long-running explanation service (JSONL stdio / HTTP)"
     )
-    _add_common_dataset_arguments(serve)
     _add_service_arguments(serve)
+    _add_request_arguments(serve)
     serve.add_argument(
         "--http", default=None, metavar="HOST:PORT",
         help="serve over HTTP on this address instead of stdin/stdout",
@@ -370,65 +456,38 @@ def _build_parser() -> argparse.ArgumentParser:
         "serve-matcher",
         help="standalone matcher server shared by service shards",
     )
-    _add_common_dataset_arguments(serve_matcher)
-    serve_matcher.add_argument(
-        "--matcher", default="logistic", choices=sorted(_MATCHERS)
-    )
-    _add_model_dir_argument(serve_matcher)
-    serve_matcher.add_argument(
-        "--host", default="127.0.0.1", help="bind address"
-    )
-    serve_matcher.add_argument(
-        "--port", type=int, default=7654,
-        help="bind port (0 picks an ephemeral one)",
-    )
+    _add_dataset_arguments(serve_matcher)
+    _add_matcher_arguments(serve_matcher)
+    _add_bind_arguments(serve_matcher, port=7654)
     serve_matcher.add_argument(
         "--server-workers", type=int, default=4,
         help="prediction threads serving concurrent in-flight batches",
     )
     serve_matcher.add_argument(
-        "--max-batch-size", type=int, default=None,
+        "--max-batch-size", type=int, default=DEFAULT_MAX_BATCH_SIZE,
         help="largest row count one predict call may carry "
-             "(default: the protocol default, 4096)",
+             "(default: %(default)s)",
     )
 
     serve_shard = subparsers.add_parser(
         "serve-shard",
         help="standing shard host adopted by a --fleet supervisor",
     )
-    serve_shard.add_argument(
-        "--host", default="127.0.0.1", help="bind address"
-    )
-    serve_shard.add_argument(
-        "--port", type=int, default=9301,
-        help="bind port (0 picks an ephemeral one)",
-    )
-    serve_shard.add_argument(
-        "--store-dir", type=Path, default=None,
-        help="host-local directory for this shard's store partition "
-             "(default: serve without a persistent store)",
-    )
-    serve_shard.add_argument(
-        "--store-max-entries", type=int, default=10_000,
-        help="LRU capacity of the store partition",
-    )
-    serve_shard.add_argument(
-        "--store-ttl", type=float, default=None,
-        help="seconds before a stored explanation expires",
+    _add_bind_arguments(serve_shard, port=9301)
+    _add_store_arguments(
+        serve_shard,
+        "host-local directory for this shard's store partition "
+        "(default: serve without a persistent store)",
     )
 
     precompute = subparsers.add_parser(
         "precompute", help="warm the explanation store for a dataset split"
     )
-    _add_common_dataset_arguments(precompute)
     _add_service_arguments(precompute)
+    _add_request_arguments(precompute, method=True)
     precompute.add_argument(
         "--per-label", type=int, default=None,
         help="records per label to warm (default: every record)",
-    )
-    precompute.add_argument(
-        "--method", default="both",
-        choices=("single", "double", "auto", "both"),
     )
     precompute.add_argument(
         "--resume", action="store_true",
@@ -441,17 +500,19 @@ def _build_parser() -> argparse.ArgumentParser:
         help="dataset-scale bulk explanation job with streaming "
              "aggregation and resumable chunk journaling",
     )
-    _add_common_dataset_arguments(bulk)
+    _add_dataset_arguments(bulk)
+    _add_matcher_arguments(bulk)
+    _add_request_arguments(bulk, method=True)
+    _add_store_arguments(
+        bulk, "deduplicate against (and warm) this explanation store"
+    )
+    _add_engine_arguments(bulk)
     bulk.add_argument(
         "--input", type=Path, default=None, metavar="CSV",
         help="explain pairs from this CSV instead of a synthetic "
              "benchmark; ill-formed rows are ledgered per record and "
              "skipped, never fatal",
     )
-    bulk.add_argument(
-        "--matcher", default="logistic", choices=sorted(_MATCHERS)
-    )
-    _add_model_dir_argument(bulk)
     bulk.add_argument(
         "--source", default="rows", choices=("rows", "block"),
         help="'rows' explains the dataset's own pairs; 'block' re-blocks "
@@ -468,23 +529,17 @@ def _build_parser() -> argparse.ArgumentParser:
         help="with --source rows: records per label (default: all rows)",
     )
     bulk.add_argument(
-        "--min-shared-tokens", type=int, default=1,
+        "--min-shared-tokens", type=int,
+        default=InvertedIndexBlocker.min_shared_tokens,
         help="blocker threshold for --source block",
     )
     bulk.add_argument(
-        "--max-token-frequency", type=float, default=0.25,
+        "--max-token-frequency", type=float,
+        default=InvertedIndexBlocker.max_token_frequency,
         help="blocker stop-token cutoff for --source block",
     )
     bulk.add_argument(
-        "--method", default="both",
-        choices=("single", "double", "auto", "both"),
-    )
-    bulk.add_argument("--samples", type=int, default=128)
-    bulk.add_argument(
-        "--explainer", default="lime", choices=("lime", "shap")
-    )
-    bulk.add_argument(
-        "--chunk-size", type=int, default=64,
+        "--chunk-size", type=int, default=BulkJobSpec.chunk_size,
         help="pairs per chunk (one store transaction and one journal "
              "event per chunk; results are identical for any size)",
     )
@@ -501,23 +556,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--report", type=Path, default=None,
         help="write the JSON aggregation report here",
     )
-    bulk.add_argument(
-        "--store-dir", type=Path, default=None,
-        help="deduplicate against (and warm) this explanation store",
-    )
-    bulk.add_argument("--store-max-entries", type=int, default=10_000)
-    bulk.add_argument("--store-ttl", type=float, default=None)
-    bulk.add_argument(
-        "--max-retries", type=int, default=0,
-        help="retry failing matcher calls up to N times (guard)",
-    )
-    bulk.add_argument(
-        "--call-timeout", type=float, default=None,
-        help="abandon a matcher call after this many seconds (guard)",
-    )
     bulk.add_argument("--top", type=int, default=15)
-    _add_engine_arguments(bulk)
-    _add_obs_arguments(bulk)
 
     selftest = subparsers.add_parser(
         "selftest", help="end-to-end installation check (~10 s)"
@@ -527,28 +566,28 @@ def _build_parser() -> argparse.ArgumentParser:
     summarize = subparsers.add_parser(
         "summarize", help="global explanation summary over many records"
     )
-    _add_common_dataset_arguments(summarize)
+    _add_dataset_arguments(summarize)
     summarize.add_argument("--per-label", type=int, default=10)
-    summarize.add_argument("--samples", type=int, default=128)
+    _add_samples_argument(summarize)
     summarize.add_argument("--top", type=int, default=15)
 
     counterfactual = subparsers.add_parser(
         "counterfactual", help="minimal token edits that flip a prediction"
     )
-    _add_common_dataset_arguments(counterfactual)
+    _add_dataset_arguments(counterfactual)
     counterfactual.add_argument("--record", type=int, default=0)
     counterfactual.add_argument(
         "--landmark", default="left", choices=("left", "right")
     )
-    counterfactual.add_argument("--samples", type=int, default=128)
+    _add_samples_argument(counterfactual)
     counterfactual.add_argument("--max-edits", type=int, default=10)
 
     report = subparsers.add_parser(
         "report", help="write an HTML / markdown explanation report"
     )
-    _add_common_dataset_arguments(report)
+    _add_dataset_arguments(report)
     report.add_argument("--record", type=int, default=0)
-    report.add_argument("--samples", type=int, default=128)
+    _add_samples_argument(report)
     report.add_argument(
         "--format", default="html", choices=("html", "markdown")
     )
@@ -557,7 +596,7 @@ def _build_parser() -> argparse.ArgumentParser:
     profile = subparsers.add_parser(
         "profile", help="token-overlap profile of a benchmark dataset"
     )
-    _add_common_dataset_arguments(profile)
+    _add_dataset_arguments(profile)
 
     compare = subparsers.add_parser(
         "compare", help="diff two saved experiment runs (JSON)"
@@ -587,30 +626,94 @@ def _resolve_matcher(args: argparse.Namespace, dataset):
     same (matcher, dataset, seed, size-cap) coordinates; an artifact that
     fails its integrity check is retrained and rewritten.
     """
-    model_dir: Path | None = getattr(args, "model_dir", None)
-    if model_dir is not None:
-        from repro.core.serialize import load_matcher, save_matcher
-        from repro.exceptions import ArtifactError
+    if args.model_dir is None:
+        return _MATCHERS[args.matcher]().fit(dataset)
+    from repro.core.serialize import load_matcher, save_matcher
+    from repro.exceptions import ArtifactError
 
-        path = _artifact_path(model_dir, args)
-        if path.exists():
-            try:
-                matcher = load_matcher(path)
-                logging.getLogger("repro.cli").info("loaded matcher %s", path)
-                return matcher
-            except ArtifactError as error:
-                print(
-                    f"warning: {error}; retraining", file=sys.stderr
-                )
-        matcher = _MATCHERS[args.matcher]().fit(dataset)
-        fingerprint = save_matcher(matcher, path)
-        # stderr: in `serve` stdio mode, stdout is the JSONL channel.
-        print(
-            f"saved matcher artifact {path} ({fingerprint[:12]})",
-            file=sys.stderr,
+    path = _artifact_path(args.model_dir, args)
+    if path.exists():
+        try:
+            matcher = load_matcher(path)
+            logging.getLogger("repro.cli").info("loaded matcher %s", path)
+            return matcher
+        except ArtifactError as error:
+            print(f"warning: {error}; retraining", file=sys.stderr)
+    matcher = _MATCHERS[args.matcher]().fit(dataset)
+    fingerprint = save_matcher(matcher, path)
+    # stderr: in `serve` stdio mode, stdout is the JSONL channel.
+    print(
+        f"saved matcher artifact {path} ({fingerprint[:12]})",
+        file=sys.stderr,
+    )
+    return matcher
+
+
+def _load_dataset(args: argparse.Namespace):
+    return load_dataset(args.dataset, seed=args.seed, size_cap=args.size_cap)
+
+
+def _load_record(args: argparse.Namespace):
+    """``(dataset, pair)`` for ``--record``, or ``None`` when out of range."""
+    dataset = _load_dataset(args)
+    if not 0 <= args.record < len(dataset):
+        print(f"record index {args.record} out of range 0..{len(dataset) - 1}")
+        return None
+    return dataset, dataset[args.record]
+
+
+def _lime_config(args: argparse.Namespace) -> LimeConfig:
+    return LimeConfig(n_samples=args.samples, seed=args.seed)
+
+
+def _landmark_explainer(args: argparse.Namespace, matcher, engine=None):
+    """The landmark explainer ``--samples`` / ``--seed`` (and, where the
+    command has it, ``--explainer``) ask for."""
+    if getattr(args, "explainer", None) == "shap":
+        from repro.explainers.kernel_shap import KernelShapExplainer
+
+        return LandmarkExplainer(
+            matcher,
+            explainer=KernelShapExplainer(n_samples=args.samples, seed=args.seed),
+            seed=args.seed,
+            engine=engine,
         )
-        return matcher
-    return _MATCHERS[args.matcher]().fit(dataset)
+    return LandmarkExplainer(
+        matcher, lime_config=_lime_config(args), seed=args.seed, engine=engine
+    )
+
+
+def _open_store(args: argparse.Namespace, registry):
+    """The explanation store under ``--store-dir`` (``None`` without one)."""
+    if args.store_dir is None:
+        return None
+    from repro.service import ExplanationStore
+
+    return ExplanationStore(args.store_dir, _store_config(args), metrics=registry)
+
+
+def _obs_registry(args: argparse.Namespace):
+    """The run's metrics registry, honouring --trace / --no-metrics."""
+    from repro.obs import MetricsRegistry, trace
+
+    if args.trace is not None:
+        trace.enable()
+    return MetricsRegistry(enabled=not args.no_metrics)
+
+
+def _obs_finish(args: argparse.Namespace, registry,
+                metrics_path: Path | None = None) -> None:
+    """Write the trace / metrics artifacts the flags asked for."""
+    from repro.evaluation.persistence import save_metrics
+    from repro.obs import trace
+
+    if args.trace is not None:
+        path = trace.save(args.trace)
+        trace.disable()
+        print(f"wrote {path}", file=sys.stderr)
+    if metrics_path is not None and registry.enabled:
+        save_metrics(registry, metrics_path)
+        print(f"wrote {metrics_path}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +737,7 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.dataset, seed=args.seed, size_cap=args.size_cap)
+    dataset = _load_dataset(args)
     matcher = _resolve_matcher(args, dataset)
     quality = evaluate_matcher(matcher, dataset, threshold=args.threshold)
     print(f"{args.matcher} matcher on {args.dataset} ({len(dataset)} pairs)")
@@ -649,45 +752,26 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.dataset, seed=args.seed, size_cap=args.size_cap)
-    if not 0 <= args.record < len(dataset):
-        print(f"record index {args.record} out of range 0..{len(dataset) - 1}")
+    loaded = _load_record(args)
+    if loaded is None:
         return 2
-    pair = dataset[args.record]
+    dataset, pair = loaded
     matcher = _resolve_matcher(args, dataset)
-    lime_config = LimeConfig(n_samples=args.samples, seed=args.seed)
     registry = _obs_registry(args)
-    engine = PredictionEngine(
-        matcher,
-        EngineConfig(cache=not args.no_cache, n_jobs=args.n_jobs),
-        metrics=registry,
-    )
+    engine = PredictionEngine(matcher, _engine_config(args), metrics=registry)
     print(pair.describe())
     print(f"model match probability: {matcher.predict_one(pair):.3f}")
-    if args.explainer == "shap":
-        from repro.explainers.kernel_shap import KernelShapExplainer
-
-        explainer = LandmarkExplainer(
-            matcher,
-            explainer=KernelShapExplainer(n_samples=args.samples, seed=args.seed),
-            seed=args.seed,
-            engine=engine,
-        )
-    else:
-        explainer = LandmarkExplainer(
-            matcher, lime_config=lime_config, seed=args.seed, engine=engine
-        )
-    dual = explainer.explain(pair, generation=args.generation)
+    dual = _landmark_explainer(args, matcher, engine).explain(
+        pair, generation=args.generation
+    )
     print(dual.render(args.top))
     if args.baselines:
-        drop = MojitoDropExplainer(
-            matcher, lime_config=lime_config, seed=args.seed, engine=engine
-        )
-        print(drop.explain(pair).render(args.top))
-        copy = MojitoCopyExplainer(
-            matcher, lime_config=lime_config, seed=args.seed, engine=engine
-        )
-        print(copy.explain(pair).render(args.top))
+        for baseline in (MojitoDropExplainer, MojitoCopyExplainer):
+            explainer = baseline(
+                matcher, lime_config=_lime_config(args), seed=args.seed,
+                engine=engine,
+            )
+            print(explainer.explain(pair).render(args.top))
     print(engine.stats.summary())
     _obs_finish(args, registry)
     return 0
@@ -704,13 +788,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             return 2
         config = load_checkpoint(args.run_dir).config
     else:
-        config = dataclasses.replace(
-            get_preset(args.preset),
-            engine_n_jobs=args.n_jobs,
-            engine_cache=not args.no_cache,
-            guard_max_retries=args.max_retries,
-            guard_call_timeout=args.call_timeout,
-        )
+        config = _experiment_config(args)
     registry = _obs_registry(args)
     runner = ExperimentRunner(config, metrics=registry)
     result = runner.run(
@@ -744,13 +822,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.dataset, seed=args.seed, size_cap=args.size_cap)
+    dataset = _load_dataset(args)
     matcher = LogisticRegressionMatcher().fit(dataset)
-    explainer = LandmarkExplainer(
-        matcher,
-        lime_config=LimeConfig(n_samples=args.samples, seed=args.seed),
-        seed=args.seed,
-    )
+    explainer = _landmark_explainer(args, matcher)
     sample = sample_per_label(dataset, args.per_label, seed=args.seed)
     explanations = []
     for pair in sample:
@@ -766,19 +840,15 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 def _cmd_counterfactual(args: argparse.Namespace) -> int:
     from repro.core.counterfactual import greedy_counterfactual
 
-    dataset = load_dataset(args.dataset, seed=args.seed, size_cap=args.size_cap)
-    if not 0 <= args.record < len(dataset):
-        print(f"record index {args.record} out of range 0..{len(dataset) - 1}")
+    loaded = _load_record(args)
+    if loaded is None:
         return 2
-    pair = dataset[args.record]
+    dataset, pair = loaded
     matcher = LogisticRegressionMatcher().fit(dataset)
-    explainer = LandmarkExplainer(
-        matcher,
-        lime_config=LimeConfig(n_samples=args.samples, seed=args.seed),
-        seed=args.seed,
-    )
     print(pair.describe())
-    landmark = explainer.explain_landmark(pair, args.landmark)
+    landmark = _landmark_explainer(args, matcher).explain_landmark(
+        pair, args.landmark
+    )
     counterfactual = greedy_counterfactual(
         landmark, matcher, max_edits=args.max_edits
     )
@@ -789,18 +859,12 @@ def _cmd_counterfactual(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.core.report import save_html, to_markdown
 
-    dataset = load_dataset(args.dataset, seed=args.seed, size_cap=args.size_cap)
-    if not 0 <= args.record < len(dataset):
-        print(f"record index {args.record} out of range 0..{len(dataset) - 1}")
+    loaded = _load_record(args)
+    if loaded is None:
         return 2
-    pair = dataset[args.record]
+    dataset, pair = loaded
     matcher = LogisticRegressionMatcher().fit(dataset)
-    explainer = LandmarkExplainer(
-        matcher,
-        lime_config=LimeConfig(n_samples=args.samples, seed=args.seed),
-        seed=args.seed,
-    )
-    dual = explainer.explain(pair)
+    dual = _landmark_explainer(args, matcher).explain(pair)
     if args.format == "html":
         save_html(dual, args.output)
     else:
@@ -812,8 +876,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.data.profiling import profile_dataset
 
-    dataset = load_dataset(args.dataset, seed=args.seed, size_cap=args.size_cap)
-    profile = profile_dataset(dataset)
+    profile = profile_dataset(_load_dataset(args))
     print(profile.render())
     print("attributes by class separation:",
           " > ".join(profile.ranking_by_separation()))
@@ -832,51 +895,33 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _build_service(args: argparse.Namespace, dataset):
     """Assemble (service, store, defaults) from the shared service flags.
 
-    ``--shards N`` with N > 1 builds the multi-process
-    :class:`~repro.service.supervisor.ShardedService`; each shard then
-    owns its own store partition, so the returned ``store`` is ``None``
-    (shutdown is entirely ``service.close()``'s job).
+    More than one shard (``--shards N``) or a ``--fleet`` file builds the
+    multi-process :class:`~repro.service.supervisor.ShardedService`; each
+    shard then owns its own store partition, so the returned ``store`` is
+    ``None`` (shutdown is entirely ``service.close()``'s job).
     """
-    from repro.config import ServiceConfig, ShardConfig, StoreConfig
-    from repro.service import ExplanationService, ExplanationStore
+    from repro.service import ExplanationService
 
-    backend_address = getattr(args, "backend", None)
+    # Every config is built (and validated) before any matcher is trained.
+    service_config = _service_config(args)
+    engine_config = _engine_config(args)
+    store_config = _store_config(args)
+    shard_config = _shard_config(args)
+    fleet = None
+    if args.fleet is not None:
+        from repro.service import load_fleet_config
+
+        fleet = load_fleet_config(args.fleet)
     # Backend mode trains nothing: the model lives in the serve-matcher
     # process and its handshake fingerprint keys every request.
-    matcher = None if backend_address else _resolve_matcher(args, dataset)
+    matcher = None if args.backend else _resolve_matcher(args, dataset)
     registry = _obs_registry(args)
-    service_config = ServiceConfig(
-        n_workers=args.workers,
-        queue_size=args.queue_size,
-        shed_threshold=args.shed_threshold,
-        max_queue_wait=args.max_queue_wait,
-        default_deadline=args.deadline,
-        drain_timeout=args.drain_timeout,
-        batch_window_ms=args.batch_window_ms,
-        batch_max_size=args.batch_max_size,
-    )
-    engine_config = EngineConfig(
-        cache=not args.no_cache,
-        n_jobs=args.n_jobs,
-        max_retries=args.max_retries,
-        call_timeout=args.call_timeout,
-    )
-    store_config = StoreConfig(
-        max_entries=args.store_max_entries,
-        ttl_seconds=args.store_ttl,
-    )
     defaults = {
-        "method": "both",
         "samples": args.samples,
         "explainer": args.explainer,
         "seed": args.seed,
     }
-    fleet = None
-    if getattr(args, "fleet", None) is not None:
-        from repro.service import load_fleet_config
-
-        fleet = load_fleet_config(args.fleet)
-    if fleet is not None or getattr(args, "shards", 1) > 1:
+    if fleet is not None or shard_config.n_shards > 1:
         from repro.service import ShardedService
 
         service = ShardedService(
@@ -884,35 +929,19 @@ def _build_service(args: argparse.Namespace, dataset):
             store_dir=args.store_dir,
             config=service_config,
             engine_config=engine_config,
-            store_config=store_config if args.store_dir is not None else None,
-            shard_config=ShardConfig(
-                n_shards=max(args.shards, 1),
-                virtual_nodes=args.virtual_nodes,
-                heartbeat_interval=args.heartbeat_interval,
-                heartbeat_timeout=args.heartbeat_timeout,
-                restart_backoff_base=args.restart_backoff,
-                max_failovers=args.max_failovers,
-                connect_timeout=args.connect_timeout,
-                connect_budget=args.connect_budget,
-                host_loss_after=args.host_loss_after,
-            ),
+            store_config=store_config,
+            shard_config=shard_config,
             metrics=registry,
-            backend_address=backend_address,
+            backend_address=args.backend,
             fleet=fleet,
         )
         return service, None, defaults
-    store = None
-    if args.store_dir is not None:
-        store = ExplanationStore(
-            args.store_dir,
-            store_config,
-            metrics=registry,
-        )
+    store = _open_store(args, registry)
     source = matcher
-    if backend_address is not None:
+    if args.backend is not None:
         from repro.backends import RemoteBackend
 
-        source = RemoteBackend(backend_address, metrics=registry)
+        source = RemoteBackend(args.backend, metrics=registry)
     service = ExplanationService(
         source,
         store=store,
@@ -958,7 +987,7 @@ def _install_drain_handler() -> None:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.server import serve_http, serve_stdio
 
-    dataset = load_dataset(args.dataset, seed=args.seed, size_cap=args.size_cap)
+    dataset = _load_dataset(args)
     service, store, defaults = _build_service(args, dataset)
     _install_drain_handler()
     try:
@@ -1020,7 +1049,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_serve_matcher(args: argparse.Namespace) -> int:
     """Run the standalone matcher server behind ``--backend``."""
-    from repro.backends import DEFAULT_MAX_BATCH_SIZE, MatcherServer
+    from repro.backends import MatcherServer
 
     if args.model_dir is not None:
         # Strict on serving paths: a bad or stale artifact is a startup
@@ -1032,18 +1061,12 @@ def _cmd_serve_matcher(args: argparse.Namespace) -> int:
         matcher = load_matcher(path)
         print(f"loaded matcher artifact {path}", file=sys.stderr)
     else:
-        dataset = load_dataset(
-            args.dataset, seed=args.seed, size_cap=args.size_cap
-        )
-        matcher = _MATCHERS[args.matcher]().fit(dataset)
+        matcher = _MATCHERS[args.matcher]().fit(_load_dataset(args))
     server = MatcherServer(
         matcher,
         host=args.host,
         port=args.port,
-        max_batch_size=(
-            DEFAULT_MAX_BATCH_SIZE if args.max_batch_size is None
-            else args.max_batch_size
-        ),
+        max_batch_size=args.max_batch_size,
         workers=args.server_workers,
     )
     host, port = server.start()
@@ -1067,20 +1090,13 @@ def _cmd_serve_matcher(args: argparse.Namespace) -> int:
 
 def _cmd_serve_shard(args: argparse.Namespace) -> int:
     """Run one standing shard host for a ``--fleet`` supervisor."""
-    from repro.config import StoreConfig
     from repro.service import ShardServer
 
-    store_config = None
-    if args.store_dir is not None:
-        store_config = StoreConfig(
-            max_entries=args.store_max_entries,
-            ttl_seconds=args.store_ttl,
-        )
     server = ShardServer(
         host=args.host,
         port=args.port,
         store_dir=args.store_dir,
-        store_config=store_config,
+        store_config=_store_config(args),
     )
     print(
         f"serving shard on {server.host}:{server.port} (pid {os.getpid()})",
@@ -1100,7 +1116,7 @@ def _cmd_serve_shard(args: argparse.Namespace) -> int:
 def _cmd_precompute(args: argparse.Namespace) -> int:
     from repro.service.server import precompute
 
-    dataset = load_dataset(args.dataset, seed=args.seed, size_cap=args.size_cap)
+    dataset = _load_dataset(args)
     service, store, _ = _build_service(args, dataset)
     try:
         report = precompute(
@@ -1132,21 +1148,13 @@ def _cmd_precompute(args: argparse.Namespace) -> int:
 def _cmd_bulk(args: argparse.Namespace) -> int:
     import json
 
-    from repro.bulk import (
-        BlockedSource,
-        BulkJob,
-        BulkJobSpec,
-        DatasetSource,
-        PairListSource,
-    )
-    from repro.config import StoreConfig
+    from repro.bulk import BlockedSource, BulkJob, DatasetSource, PairListSource
     from repro.data.io import read_csv
     from repro.evaluation.ledger import (
         KIND_SKIPPED,
         FailureEntry,
         FailureLedger,
     )
-    from repro.service import ExplanationStore
 
     if args.resume and args.run_dir is None:
         print("error: --resume requires --run-dir", file=sys.stderr)
@@ -1175,9 +1183,7 @@ def _cmd_bulk(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     else:
-        dataset = load_dataset(
-            args.dataset, seed=args.seed, size_cap=args.size_cap
-        )
+        dataset = _load_dataset(args)
     matcher = _resolve_matcher(args, dataset)
     registry = _obs_registry(args)
 
@@ -1193,34 +1199,14 @@ def _cmd_bulk(args: argparse.Namespace) -> int:
         source = DatasetSource(dataset, per_label=args.per_label,
                                seed=args.seed)
 
-    store = None
-    if args.store_dir is not None:
-        store = ExplanationStore(
-            args.store_dir,
-            StoreConfig(
-                max_entries=args.store_max_entries,
-                ttl_seconds=args.store_ttl,
-            ),
-            metrics=registry,
-        )
+    store = _open_store(args, registry)
     job = BulkJob(
         matcher,
         source,
-        spec=BulkJobSpec(
-            method=args.method,
-            samples=args.samples,
-            explainer=args.explainer,
-            seed=args.seed,
-            chunk_size=args.chunk_size,
-        ),
+        spec=_bulk_spec(args),
         store=store,
         run_dir=args.run_dir,
-        engine_config=EngineConfig(
-            cache=not args.no_cache,
-            n_jobs=args.n_jobs,
-            max_retries=args.max_retries,
-            call_timeout=args.call_timeout,
-        ),
+        engine_config=_engine_config(args),
         metrics=registry,
     )
     try:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.engine import EngineConfig
 from repro.exceptions import ConfigurationError
+from repro.matchers.base import DEFAULT_THRESHOLD
 
 #: Method identifiers used across the evaluation harness and tables.
 METHOD_SINGLE = "single"
@@ -35,7 +37,7 @@ class ExperimentConfig:
     per_label: int = 100
     lime_samples: int = 256
     size_cap: int | None = None
-    threshold: float = 0.5
+    threshold: float = DEFAULT_THRESHOLD
     removal_fraction: float = 0.25
     seed: int = 0
     methods: tuple[str, ...] = PAPER_METHODS
@@ -47,18 +49,18 @@ class ExperimentConfig:
     faithfulness: bool = False
     #: Prediction-engine knobs (see :mod:`repro.core.engine`).  The engine
     #: never changes results — only how many matcher calls are spent.
-    engine_dedup: bool = True
-    engine_cache: bool = True
-    engine_batch_size: int = 512
-    engine_n_jobs: int = 1
+    engine_dedup: bool = EngineConfig.dedup
+    engine_cache: bool = EngineConfig.cache
+    engine_batch_size: int = EngineConfig.batch_size
+    engine_n_jobs: int = EngineConfig.n_jobs
     #: Matcher-guard knobs (see :mod:`repro.core.guard`).  With the
     #: defaults the guard is a pass-through; retries/timeouts never change
     #: successful results, only whether transient faults kill the run.
-    guard_max_retries: int = 0
-    guard_call_timeout: float | None = None
-    guard_trip_after: int = 5
-    guard_cooldown: int = 8
-    guard_backoff: float = 0.05
+    guard_max_retries: int = EngineConfig.max_retries
+    guard_call_timeout: float | None = EngineConfig.call_timeout
+    guard_trip_after: int = EngineConfig.trip_after
+    guard_cooldown: int = EngineConfig.cooldown
+    guard_backoff: float = EngineConfig.backoff
 
     def __post_init__(self) -> None:
         if self.per_label < 1:
@@ -74,35 +76,11 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in ALL_METHODS]
         if unknown:
             raise ConfigurationError(f"unknown methods: {unknown}")
-        if self.engine_batch_size < 1:
-            raise ConfigurationError(
-                f"engine_batch_size must be >= 1, got {self.engine_batch_size}"
-            )
-        if self.engine_n_jobs < 1:
-            raise ConfigurationError(
-                f"engine_n_jobs must be >= 1, got {self.engine_n_jobs}"
-            )
-        if self.guard_max_retries < 0:
-            raise ConfigurationError(
-                f"guard_max_retries must be >= 0, got {self.guard_max_retries}"
-            )
-        if self.guard_call_timeout is not None and self.guard_call_timeout <= 0:
-            raise ConfigurationError(
-                f"guard_call_timeout must be > 0, got {self.guard_call_timeout}"
-            )
-        if self.guard_trip_after < 1:
-            raise ConfigurationError(
-                f"guard_trip_after must be >= 1, got {self.guard_trip_after}"
-            )
-        if self.guard_cooldown < 0 or self.guard_backoff < 0:
-            raise ConfigurationError(
-                "guard_cooldown and guard_backoff must be >= 0"
-            )
+        # Delegate engine/guard validation (raises ConfigurationError).
+        self.engine_config()
 
-    def engine_config(self):
+    def engine_config(self) -> EngineConfig:
         """The :class:`repro.core.engine.EngineConfig` this run asks for."""
-        from repro.core.engine import EngineConfig
-
         return EngineConfig(
             dedup=self.engine_dedup,
             cache=self.engine_cache,

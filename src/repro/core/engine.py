@@ -214,12 +214,12 @@ class EngineConfig:
     cache_size: int = 100_000
     batch_size: int = 512
     n_jobs: int = 1
-    max_retries: int = 0
-    call_timeout: float | None = None
-    trip_after: int = 5
-    cooldown: int = 8
-    backoff: float = 0.05
-    guard_seed: int = 0
+    max_retries: int = GuardConfig.max_retries
+    call_timeout: float | None = GuardConfig.call_timeout
+    trip_after: int = GuardConfig.trip_after
+    cooldown: int = GuardConfig.cooldown
+    backoff: float = GuardConfig.backoff
+    guard_seed: int = GuardConfig.seed
 
     def __post_init__(self) -> None:
         if self.cache_size < 1:

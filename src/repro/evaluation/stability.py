@@ -18,7 +18,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.core.explanation import PairTokenWeights
 from repro.data.records import RecordPair
@@ -59,6 +58,9 @@ def record_stability(runs: Sequence[PairTokenWeights]) -> float:
     Records with a single token (no ranking to compare) score 1.0;
     degenerate constant weight vectors score 0.0 against anything.
     """
+    # Imported here: scipy.stats costs every repro process ~1 s at start-up.
+    from scipy import stats
+
     if len(runs) < 2:
         raise ConfigurationError("stability needs at least 2 runs")
     matrix = _aligned_weight_matrix(runs)

@@ -97,6 +97,12 @@ def request_key(matcher_fingerprint: str, request: ExplainRequest) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+#: Request fields a server may default (``serve``'s flags) ...
+_DEFAULTABLE = ("method", "samples", "explainer", "seed")
+#: ... and every field a wire payload may set.
+_PAYLOAD_FIELDS = _DEFAULTABLE + ("priority", "deadline_seconds")
+
+
 def request_from_payload(
     payload: dict,
     dataset=None,
@@ -129,21 +135,19 @@ def request_from_payload(
         pair = _pair_from_payload(payload["pair"], dataset)
     else:
         raise ServiceError("request needs a 'record' index or an inline 'pair'")
-    deadline = payload.get(
-        "deadline_seconds", defaults.get("deadline_seconds")
+    # Payload, then server-side defaults; anything absent from both takes
+    # ExplainRequest's own default.
+    fields = {name: defaults[name] for name in _DEFAULTABLE if name in defaults}
+    fields.update(
+        (name, payload[name]) for name in _PAYLOAD_FIELDS if name in payload
     )
     try:
-        return ExplainRequest(
-            pair=pair,
-            method=payload.get("method", defaults.get("method", "both")),
-            samples=int(payload.get("samples", defaults.get("samples", 128))),
-            explainer=payload.get(
-                "explainer", defaults.get("explainer", "lime")
-            ),
-            seed=int(payload.get("seed", defaults.get("seed", 0))),
-            priority=int(payload.get("priority", 10)),
-            deadline_seconds=None if deadline is None else float(deadline),
-        )
+        for name in ("samples", "seed", "priority"):
+            if name in fields:
+                fields[name] = int(fields[name])
+        if fields.get("deadline_seconds") is not None:
+            fields["deadline_seconds"] = float(fields["deadline_seconds"])
+        return ExplainRequest(pair=pair, **fields)
     except (ConfigurationError, TypeError, ValueError) as error:
         raise ServiceError(f"invalid request: {error}") from error
 

@@ -90,6 +90,24 @@ class TestConfigValidation:
         with pytest.raises(Exception):
             ExperimentConfig(methods=("anchors",))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("engine_batch_size", 0),
+            ("engine_n_jobs", 0),
+            ("guard_max_retries", -1),
+            ("guard_call_timeout", 0.0),
+            ("guard_trip_after", 0),
+            ("guard_cooldown", -1),
+            ("guard_backoff", -0.5),
+        ],
+    )
+    def test_bad_engine_and_guard_fields(self, field, value):
+        from repro.exceptions import ConfigurationError
+
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(**{field: value})
+
     def test_presets(self):
         from repro.config import get_preset
         from repro.exceptions import ConfigurationError

@@ -332,6 +332,51 @@ class TestServe:
         assert (tmp_path / "store" / "service_stats.json").exists()
 
 
+    def test_invalid_shard_count_is_a_configuration_error(
+        self, capsys, monkeypatch
+    ):
+        import io
+
+        for shards in ("0", "-3"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(""))
+            code = main(["serve", "--size-cap", "150", "--shards", shards])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert f"n_shards must be >= 1, got {shards}" in err
+
+
+class TestFlagDefaults:
+    """A parse with no optional flags builds each config's own defaults."""
+
+    def test_configs_match_their_dataclasses(self):
+        from repro import cli
+        from repro.bulk import BulkJobSpec
+        from repro.config import (
+            PRESETS,
+            ServiceConfig,
+            ShardConfig,
+            StoreConfig,
+        )
+        from repro.core.engine import EngineConfig
+
+        parse = cli._build_parser().parse_args
+        assert cli._engine_config(parse(["explain"])) == EngineConfig()
+        assert cli._experiment_config(parse(["experiment"])) == PRESETS["fast"]
+        for name, preset in PRESETS.items():
+            args = parse(["experiment", "--preset", name])
+            assert cli._experiment_config(args) == preset
+        for command in ("serve", "precompute", "bulk"):
+            args = parse([command])
+            assert cli._engine_config(args) == EngineConfig()
+            assert cli._store_config(args) == StoreConfig()
+        for command in ("serve", "precompute"):
+            args = parse([command])
+            assert cli._service_config(args) == ServiceConfig()
+            assert cli._shard_config(args) == ShardConfig()
+        assert cli._bulk_spec(parse(["bulk"])) == BulkJobSpec()
+        assert cli._store_config(parse(["serve-shard"])) == StoreConfig()
+
+
 class TestPrecomputeCommand:
     def test_warm_and_resume(self, tmp_path, capsys):
         base = [
