@@ -36,7 +36,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -45,33 +44,8 @@ from repro.config import ServiceConfig, ShardConfig
 from repro.data.synthetic.magellan import load_dataset
 from repro.matchers.logistic import LogisticRegressionMatcher
 from repro.service import ExplainRequest, ShardedService
-from repro.service.transport import FleetConfig, FleetShard
-
-
-def spawn_shard_hosts(n: int) -> list[tuple]:
-    """*n* real ``serve-shard`` processes; [(process, host, port), ...]."""
-    hosts = []
-    for _ in range(n):
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve-shard", "--port", "0"],
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-        )
-        address = None
-        deadline = time.monotonic() + 120
-        while time.monotonic() < deadline:
-            line = process.stderr.readline()
-            if line.startswith("serving shard on "):
-                address = line.split()[3]
-                break
-            if not line and process.poll() is not None:
-                break
-        if address is None:
-            for host_process, _, _ in hosts:
-                host_process.kill()
-            raise SystemExit("serve-shard host did not come up")
-        host, port = address.rsplit(":", 1)
-        hosts.append((process, host, int(port)))
-    return hosts
+from repro.service.transport import parse_fleet_config
+from repro.testing.drill import fleet_document, spawn_shard_hosts
 
 
 def run_fleet(matcher, requests, n_shards: int, workers: int,
@@ -81,11 +55,8 @@ def run_fleet(matcher, requests, n_shards: int, workers: int,
     fleet = None
     if transport == "tcp":
         hosts = spawn_shard_hosts(n_shards)
-        fleet = FleetConfig(
-            shards=tuple(
-                FleetShard(shard_id=i, host=host, port=port)
-                for i, (_, host, port) in enumerate(hosts)
-            ),
+        fleet = parse_fleet_config(
+            fleet_document([host.address for host in hosts])
         )
     service = ShardedService(
         matcher,
@@ -101,12 +72,8 @@ def run_fleet(matcher, requests, n_shards: int, workers: int,
         stats = service.stats_payload()
     finally:
         service.close()
-        for process, _, _ in hosts:  # drained on close; reap stragglers
-            try:
-                process.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                process.wait()
+        for host in hosts:  # drained on close; reap stragglers
+            host.stop(timeout=30)
     return payloads, seconds, stats
 
 

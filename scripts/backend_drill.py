@@ -37,15 +37,21 @@ from __future__ import annotations
 import argparse
 import json
 import signal
-import socket
 import subprocess
 import sys
 import tempfile
-import threading
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
+
+from repro.testing.drill import (
+    Drill,
+    Retry,
+    cli,
+    fetch,
+    run_load,
+    spawn,
+    wait_health,
+)
 
 SEED = 11
 N_SHARDS = 2
@@ -64,156 +70,30 @@ SHARD_ARGS = [
 ]
 #: Retryable wire codes during the outage window: the drill retries
 #: these, and the retries must succeed — anything else is a lost request.
-RETRYABLE = {
-    "backend_unavailable", "matcher_unavailable", "matcher_timeout",
-    "shard_failed", "overloaded", "cancelled",
-}
+RETRY = Retry(
+    codes=frozenset({
+        "backend_unavailable", "matcher_unavailable", "matcher_timeout",
+        "shard_failed", "overloaded", "cancelled",
+    }),
+    attempts=10,
+    backoff=0.3,
+)
+#: Seconds each load thread waits before a request, so the load spans
+#: the whole outage window instead of draining before the kill lands.
+PACE = 0.05
 
 
-def free_port() -> int:
-    """Reserve an ephemeral port number for the matcher server."""
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
-
-
-def _pump(process, collected: list[str]) -> None:
-    def drain() -> None:
-        for line in process.stderr:
-            collected.append(line)
-
-    threading.Thread(target=drain, daemon=True).start()
-
-
-def boot_matcher(model_dir: Path, port: int) -> tuple:
-    """Boot ``serve-matcher`` from the artifact; (process, log lines)."""
-    process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "serve-matcher",
+def boot_matcher(model_dir: Path, port: int):
+    """Boot ``serve-matcher`` from the artifact on *port* (0: ephemeral)."""
+    return spawn(
+        cli(
+            "serve-matcher",
             *DATASET_ARGS[:6],  # dataset/size-cap/seed select the artifact
             "--model-dir", str(model_dir),
             "--host", "127.0.0.1", "--port", str(port),
-        ],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ),
+        "serving matcher on ", "serve-matcher",
     )
-    lines: list[str] = []
-    deadline = time.monotonic() + 120
-    while time.monotonic() < deadline:
-        line = process.stderr.readline()
-        lines.append(line)
-        if line.startswith("serving matcher on "):
-            _pump(process, lines)
-            return process, lines
-        if not line and process.poll() is not None:
-            break
-    print("".join(lines), file=sys.stderr)
-    raise SystemExit("serve-matcher did not come up")
-
-
-def boot_fleet(store_dir: Path, backend: str) -> tuple:
-    """Boot the sharded HTTP fleet against *backend*; (process, url, log)."""
-    process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "serve", *DATASET_ARGS,
-            "--store-dir", str(store_dir), "--backend", backend,
-            "--http", "127.0.0.1:0", *SHARD_ARGS,
-        ],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
-    lines: list[str] = []
-    deadline = time.monotonic() + 180
-    while time.monotonic() < deadline:
-        line = process.stderr.readline()
-        lines.append(line)
-        if line.startswith("serving on "):
-            _pump(process, lines)
-            return process, line.split()[2], lines
-        if not line and process.poll() is not None:
-            break
-    print("".join(lines), file=sys.stderr)
-    raise SystemExit("serve --http --backend did not come up")
-
-
-def get_json(url: str, timeout: float = 30.0) -> tuple[int, dict]:
-    try:
-        with urllib.request.urlopen(url, timeout=timeout) as response:
-            return response.status, json.loads(response.read())
-    except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
-
-
-def post_explain(url: str, payload: dict, timeout: float = 120.0):
-    request = urllib.request.Request(
-        url + "/explain",
-        data=json.dumps(payload).encode("utf-8"),
-        method="POST",
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.status, json.loads(response.read())
-    except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
-
-
-class LoadResult:
-    """Per-request outcome ledger of the sustained load."""
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.completed = 0
-        self.retried = 0
-        self.lost: list[str] = []
-
-
-def run_load(url: str, n_requests: int, result: LoadResult, threads: int = 4):
-    """*n_requests* explain calls with retry-on-retryable, concurrently."""
-
-    def one(record: int) -> None:
-        payload = {"record": record % 100, "method": "single"}
-        for attempt in range(10):
-            try:
-                status, body = post_explain(url, payload)
-            except Exception as error:  # noqa: BLE001 - connection-level loss
-                with result.lock:
-                    result.lost.append(f"record {record}: transport {error}")
-                return
-            if status == 200:
-                with result.lock:
-                    result.completed += 1
-                    if attempt:
-                        result.retried += 1
-                return
-            if body.get("code") in RETRYABLE:
-                time.sleep(0.3 * (attempt + 1))
-                continue
-            with result.lock:
-                result.lost.append(
-                    f"record {record}: terminal {status} {body.get('code')}"
-                )
-            return
-        with result.lock:
-            result.lost.append(f"record {record}: retries exhausted")
-
-    pending = list(range(n_requests))
-    pool: list[threading.Thread] = []
-    lock = threading.Lock()
-
-    def worker() -> None:
-        while True:
-            with lock:
-                if not pending:
-                    return
-                record = pending.pop()
-            # Pace the stream so the load spans the whole outage window
-            # instead of draining before the kill lands.
-            time.sleep(0.05)
-            one(record)
-
-    for _ in range(threads):
-        thread = threading.Thread(target=worker, daemon=True)
-        thread.start()
-        pool.append(thread)
-    return pool
 
 
 def _fingerprint_of(banner: str) -> str:
@@ -238,17 +118,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--requests", type=int, default=40)
     args = parser.parse_args(argv)
-    failures: list[str] = []
-    transcript: list[str] = []
+    drill = Drill("backend_drill", args.artifacts_dir)
+    check = drill.check
 
-    def check(condition: bool, what: str) -> None:
-        line = f"  [{'ok' if condition else 'FAIL'}] {what}"
-        print(line, flush=True)
-        transcript.append(line)
-        if not condition:
-            failures.append(what)
-
-    started = time.monotonic()
     final_health: dict = {}
     with tempfile.TemporaryDirectory() as root_text:
         root = Path(root_text)
@@ -256,52 +128,47 @@ def main(argv=None) -> int:
 
         print("drill: training the artifact serve-matcher will load")
         trained = subprocess.run(
-            [
-                sys.executable, "-m", "repro.cli", "train",
-                *DATASET_ARGS[:6], "--model-dir", str(model_dir),
-            ],
+            cli("train", *DATASET_ARGS[:6], "--model-dir", str(model_dir)),
             capture_output=True, text=True, timeout=600,
         )
         check(trained.returncode == 0, "train --model-dir saves the artifact")
 
-        port = free_port()
-        backend = f"127.0.0.1:{port}"
-        matcher_proc, matcher_log = boot_matcher(model_dir, port)
-        fingerprint_line = next(
-            line for line in matcher_log if "fingerprint" in line
+        matcher = boot_matcher(model_dir, 0)
+        backend = matcher.address
+        fleet = spawn(
+            cli(
+                "serve", *DATASET_ARGS,
+                "--store-dir", str(root / "store"), "--backend", backend,
+                "--http", "127.0.0.1:0", *SHARD_ARGS,
+            ),
+            "serving on ", "serve --http --backend",
         )
-        fleet_proc, url, fleet_log = boot_fleet(root / "store", backend)
-        restarted_proc = None
-        restart_log: list[str] = []
+        url = fleet.address
+        restarted = None
         try:
             print(f"drill: fleet up at {url} over matcher at {backend}")
-            status, _ = post_explain(url, {"record": 0, "method": "single"})
-            check(status == 200, "priming request succeeds")
-            status, health = get_json(url + "/healthz")
-            check(status == 200, "healthz is 200 with the matcher up")
+            reply = fetch(url + "/explain", {"record": 0, "method": "single"})
+            check(reply.status == 200, "priming request succeeds")
+            reply = fetch(url + "/healthz")
+            check(reply.status == 200, "healthz is 200 with the matcher up")
             check(
-                not backend_degraded_shards(health),
+                not backend_degraded_shards(reply.body),
                 "no shard reports backend_unavailable before the kill",
             )
 
             print("drill: sustained load, then SIGKILL the matcher server")
-            result = LoadResult()
-            pool = run_load(url, args.requests, result)
+            load = run_load(url, args.requests, RETRY, pace=PACE)
             time.sleep(0.5)  # let the load reach both shards
-            matcher_proc.send_signal(signal.SIGKILL)
-            matcher_proc.wait()
+            matcher.stop(signal.SIGKILL)
 
             # Shard breakers open as in-flight calls fail; /healthz must
             # show degradation while never reporting the fleet down.
-            degraded_seen: list[str] = []
-            deadline = time.monotonic() + 30
-            while time.monotonic() < deadline:
-                status, health = get_json(url + "/healthz")
-                check_now = backend_degraded_shards(health)
-                if status == 200 and check_now:
-                    degraded_seen = check_now
-                    break
-                time.sleep(0.05)
+            ok, _, health = wait_health(
+                url,
+                lambda s, h: s == 200 and bool(backend_degraded_shards(h)),
+                timeout=30, interval=0.05,
+            )
+            degraded_seen = backend_degraded_shards(health) if ok else []
             check(
                 bool(degraded_seen),
                 f"healthz 200 with shards degraded backend_unavailable "
@@ -309,28 +176,20 @@ def main(argv=None) -> int:
             )
 
             print("drill: restarting serve-matcher on the same address")
-            restarted_proc, restart_log = boot_matcher(model_dir, port)
-            restarted_line = next(
-                line for line in restart_log if "fingerprint" in line
-            )
+            restarted = boot_matcher(model_dir, int(backend.rsplit(":", 1)[1]))
             check(
-                _fingerprint_of(restarted_line)
-                == _fingerprint_of(fingerprint_line),
+                _fingerprint_of(restarted.banner)
+                == _fingerprint_of(matcher.banner),
                 "restarted server presents the same model fingerprint",
             )
 
-            recovered = False
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline:
-                status, health = get_json(url + "/healthz")
-                if (
-                    status == 200
-                    and not health.get("degraded")
-                    and not backend_degraded_shards(health)
-                ):
-                    recovered = True
-                    break
-                time.sleep(0.1)
+            recovered, _, health = wait_health(
+                url,
+                lambda s, h: s == 200
+                and not h.get("degraded")
+                and not backend_degraded_shards(h),
+                timeout=60,
+            )
             check(recovered, "fleet healthz fully healthy after restart")
             restarts = [
                 entry.get("restarts", 0)
@@ -342,70 +201,43 @@ def main(argv=None) -> int:
                 f"clients reconnected",
             )
 
-            for thread in pool:
-                thread.join(timeout=300)
+            load.join()
             check(
-                result.completed == args.requests,
-                f"zero lost requests: {result.completed}/{args.requests} "
-                f"completed ({result.retried} retried, "
-                f"{len(result.lost)} lost: {result.lost[:3]})",
+                load.completed == args.requests,
+                f"zero lost requests: {load.completed}/{args.requests} "
+                f"completed ({load.retried} retried, "
+                f"{len(load.lost)} lost: {load.lost[:3]})",
             )
-            status, _ = post_explain(url, {"record": 1, "method": "single"})
-            check(status == 200, "post-recovery request succeeds")
+            reply = fetch(url + "/explain", {"record": 1, "method": "single"})
+            check(reply.status == 200, "post-recovery request succeeds")
 
-            with urllib.request.urlopen(url + "/metrics", timeout=30) as resp:
-                metrics_text = resp.read().decode("utf-8")
             check(
-                "repro_backend_" in metrics_text,
+                "repro_backend_" in fetch(url + "/metrics").text,
                 "metrics expose the per-backend series",
             )
-            status, final_health = get_json(url + "/healthz")
+            final_health = fetch(url + "/healthz").body
 
             print("drill: SIGTERM drains the fleet, then the matcher server")
-            fleet_proc.send_signal(signal.SIGTERM)
-            try:
-                code = fleet_proc.wait(timeout=60)
-            except subprocess.TimeoutExpired:
-                fleet_proc.kill()
-                fleet_proc.wait()
-                code = None
+            code = fleet.stop()
             check(code == 0, f"fleet SIGTERM: clean exit code (got {code})")
-            restarted_proc.send_signal(signal.SIGTERM)
-            try:
-                code = restarted_proc.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                restarted_proc.kill()
-                restarted_proc.wait()
-                code = None
+            code = restarted.stop(timeout=30)
             check(code == 0, f"matcher SIGTERM: clean exit code (got {code})")
         finally:
-            for process in (fleet_proc, matcher_proc, restarted_proc):
-                if process is not None and process.poll() is None:
-                    process.kill()
-                    process.wait()
+            for child in (fleet, matcher, restarted):
+                if child is not None:
+                    child.stop(signal.SIGKILL)
 
-        if args.artifacts_dir is not None:
-            args.artifacts_dir.mkdir(parents=True, exist_ok=True)
-            (args.artifacts_dir / "backend_transcript.txt").write_text(
-                "\n".join(transcript) + "\n"
-            )
-            (args.artifacts_dir / "fleet_log.txt").write_text(
-                "".join(fleet_log)
-            )
-            (args.artifacts_dir / "matcher_log.txt").write_text(
-                "".join(matcher_log) + "\n--- restart ---\n"
-                + "".join(restart_log)
-            )
-            (args.artifacts_dir / "backend_health.json").write_text(
-                json.dumps(final_health, indent=2, sort_keys=True)
-            )
-            print(f"artifacts kept in {args.artifacts_dir}")
+        drill.save({
+            "backend_transcript.txt": drill.transcript_text(),
+            "fleet_log.txt": fleet.log_text(),
+            "matcher_log.txt": matcher.log_text() + "\n--- restart ---\n"
+            + (restarted.log_text() if restarted is not None else ""),
+            "backend_health.json": json.dumps(
+                final_health, indent=2, sort_keys=True
+            ),
+        })
 
-    elapsed = time.monotonic() - started
-    print(
-        f"backend_drill {'FAILED' if failures else 'passed'} in {elapsed:.0f}s"
-    )
-    return 1 if failures else 0
+    return drill.finish()
 
 
 if __name__ == "__main__":

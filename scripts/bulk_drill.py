@@ -30,6 +30,7 @@ from repro.data.synthetic.magellan import load_dataset
 from repro.matchers.logistic import LogisticRegressionMatcher
 from repro.service.request import request_key
 from repro.service.store import ExplanationStore
+from repro.testing.drill import Drill
 
 
 class _Killed(Exception):
@@ -65,7 +66,7 @@ def main(argv=None) -> int:
                         help="keep the reference and resumed reports here")
     args = parser.parse_args(argv)
 
-    failures: list[str] = []
+    drill = Drill("bulk_drill", args.report_dir)
     dataset = load_dataset("S-BR", seed=0, size_cap=args.size_cap)
     matcher = LogisticRegressionMatcher().fit(dataset)
     source = DatasetSource(dataset, per_label=args.per_label, seed=0)
@@ -89,7 +90,7 @@ def main(argv=None) -> int:
             f"{reference_report.n_computed} computed"
         )
         if reference_report.n_failed:
-            failures.append(
+            drill.fail(
                 f"reference run failed {reference_report.n_failed} pairs"
             )
 
@@ -106,7 +107,7 @@ def main(argv=None) -> int:
         )
         try:
             victim.run()
-            failures.append("kill callback never fired (job too small?)")
+            drill.fail("kill callback never fired (job too small?)")
         except _Killed as crash:
             print(f"  {crash}")
         resumed = BulkJob(
@@ -120,7 +121,7 @@ def main(argv=None) -> int:
             f"journal, {resumed_report.n_computed} computed in total"
         )
         if resumed_bytes != reference_bytes:
-            failures.append(
+            drill.fail(
                 "resumed report differs from the uninterrupted reference"
             )
         else:
@@ -131,7 +132,7 @@ def main(argv=None) -> int:
         reference_payloads = store_payloads(reference)
         resumed_payloads = store_payloads(resumed)
         if reference_payloads != resumed_payloads:
-            failures.append(
+            drill.fail(
                 "resumed store payloads differ from the reference store"
             )
         else:
@@ -139,11 +140,9 @@ def main(argv=None) -> int:
                 f"  all {len(resumed_payloads)} stored payloads "
                 f"bit-identical to the reference store"
             )
-        if args.report_dir is not None:
-            args.report_dir.mkdir(parents=True, exist_ok=True)
-            (args.report_dir / "reference.json").write_bytes(reference_bytes)
-            (args.report_dir / "resumed.json").write_bytes(resumed_bytes)
-            print(f"  wrote reports to {args.report_dir}")
+        drill.save({
+            "reference.json": reference_bytes, "resumed.json": resumed_bytes,
+        })
 
         print("[3/3] warm-store rerun must dedup")
         warm = BulkJob(
@@ -156,19 +155,16 @@ def main(argv=None) -> int:
             f"hits ({100 * warm_report.dedup_rate:.0f}%)"
         )
         if warm_report.dedup_rate < 0.9:
-            failures.append(
+            drill.fail(
                 f"warm dedup rate {warm_report.dedup_rate:.2f} below 0.90"
             )
         if report_bytes(warm, warm_report) != reference_bytes:
-            failures.append("warm-store report differs from the reference")
+            drill.fail("warm-store report differs from the reference")
 
         reference.store.close()
         victim_store.close()
 
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    print("bulk_drill", "FAILED" if failures else "passed")
-    return 1 if failures else 0
+    return drill.finish()
 
 
 if __name__ == "__main__":

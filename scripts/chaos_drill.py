@@ -38,13 +38,12 @@ import subprocess
 import sys
 import tempfile
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
 from repro.testing.chaos import kill_after, overload_burst, truncate_file
+from repro.testing.drill import (
+    Drill, Reply, cli, fetch, jsonl_session, spawn, stop,
+)
 
 SEED = 7
 DATASET_ARGS = [
@@ -54,164 +53,98 @@ DATASET_ARGS = [
 STORE_DB = "explanations.sqlite"
 
 
-def serve_jsonl(
-    store_dir: Path, model_dir: Path, requests: list[dict], extra=()
-) -> tuple[list[dict], str]:
-    """One stdio server session; returns (responses, stderr)."""
-    lines = "".join(json.dumps(r) + "\n" for r in requests)
-    process = subprocess.run(
-        [
-            sys.executable, "-m", "repro.cli", "serve", *DATASET_ARGS,
-            "--store-dir", str(store_dir), "--model-dir", str(model_dir),
-            "--workers", "2", *extra,
-        ],
-        input=lines, capture_output=True, text=True, timeout=150,
+def serve(store_dir: Path, model_dir: Path, *extra: str) -> list[str]:
+    return cli(
+        "serve", *DATASET_ARGS,
+        "--store-dir", str(store_dir), "--model-dir", str(model_dir), *extra,
     )
-    if process.returncode != 0:
-        print(process.stderr, file=sys.stderr)
-        raise SystemExit(f"serve exited with {process.returncode}")
-    return [json.loads(line) for line in process.stdout.splitlines()], process.stderr
 
 
-def boot_http(store_dir: Path, model_dir: Path, extra=()) -> tuple:
-    """Boot ``serve --http`` on an ephemeral port; returns (process, url)."""
-    process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "serve", *DATASET_ARGS,
-            "--store-dir", str(store_dir), "--model-dir", str(model_dir),
-            "--http", "127.0.0.1:0", *extra,
-        ],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+def serve_jsonl(store_dir: Path, model_dir: Path, requests: list[dict]) -> dict:
+    """One stdio server session; responses keyed by request id."""
+    responses, _ = jsonl_session(
+        serve(store_dir, model_dir, "--workers", "2"), requests
     )
-    address = None
-    stderr_lines: list[str] = []
-    deadline = time.monotonic() + 120
-    while time.monotonic() < deadline:
-        line = process.stderr.readline()
-        stderr_lines.append(line)
-        if line.startswith("serving on "):
-            address = line.split()[2]
-            break
-        if not line and process.poll() is not None:
-            break
-    if address is None:
-        print("".join(stderr_lines), file=sys.stderr)
-        raise SystemExit("serve --http did not come up")
-    return process, address
+    return {r["id"]: r for r in responses}
 
 
-def stop_http(process) -> str:
-    """SIGINT the server and return its remaining stderr."""
-    if process.poll() is None:
-        process.send_signal(signal.SIGINT)
-        try:
-            process.wait(timeout=60)
-        except subprocess.TimeoutExpired:
-            process.kill()
-            process.wait()
-    return process.stderr.read() if process.stderr else ""
-
-
-def post_explain(url: str, payload: dict, timeout: float = 120.0) -> dict:
-    """POST /explain; returns ``{"status", "body", "retry_after"}``."""
-    request = urllib.request.Request(
-        url + "/explain",
-        data=json.dumps(payload).encode("utf-8"),
-        method="POST",
+def boot_http(store_dir: Path, model_dir: Path, *extra: str):
+    """Boot ``serve --http`` on an ephemeral port."""
+    return spawn(
+        serve(store_dir, model_dir, "--http", "127.0.0.1:0", *extra),
+        "serving on ", "serve --http",
     )
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return {
-                "status": response.status,
-                "body": json.loads(response.read()),
-                "retry_after": None,
-            }
-    except urllib.error.HTTPError as error:
-        return {
-            "status": error.code,
-            "body": json.loads(error.read()),
-            "retry_after": error.headers.get("Retry-After"),
-        }
 
 
 def drill_overload_and_deadline(root: Path, model_dir: Path, check) -> None:
     print("drill 1+2: overload shedding and deadlines over HTTP")
-    store_dir = root / "store-overload"
-    process, url = boot_http(
-        store_dir, model_dir,
-        extra=["--workers", "1", "--shed-threshold", "1", "--drain-timeout", "20"],
+    server = boot_http(
+        root / "store-overload", model_dir,
+        "--workers", "1", "--shed-threshold", "1", "--drain-timeout", "20",
     )
+    url = server.address
     try:
         outcomes = overload_burst(
-            lambda slot: post_explain(
-                url, {"record": slot, "method": "single"}
+            lambda slot: fetch(
+                url + "/explain", {"record": slot, "method": "single"}
             ),
             n=8,
         )
-        statuses = [o["status"] for o in outcomes if isinstance(o, dict)]
-        check(len(statuses) == 8, "burst: every request got an HTTP response")
-        admitted = [s for s in statuses if s == 200]
-        shed = [o for o in outcomes
-                if isinstance(o, dict) and o["status"] == 429]
+        replies = [o for o in outcomes if isinstance(o, Reply)]
+        check(len(replies) == 8, "burst: every request got an HTTP response")
+        admitted = [r for r in replies if r.status == 200]
+        shed = [r for r in replies if r.status == 429]
         check(bool(admitted), f"burst: some requests admitted ({len(admitted)})")
         check(bool(shed), f"burst: some requests shed with 429 ({len(shed)})")
         check(
-            all(o["body"].get("code") == "overloaded" for o in shed),
+            all(r.body.get("code") == "overloaded" for r in shed),
             "shed responses carry code=overloaded",
         )
         check(
-            all(o["retry_after"] is not None for o in shed),
+            all(r.headers.get("Retry-After") is not None for r in shed),
             "shed responses carry a Retry-After header",
         )
-        with urllib.request.urlopen(url + "/stats", timeout=30) as response:
-            stats = json.loads(response.read())["stats"]["service"]
-        check(stats["shed"] == len(shed), "shed counter matches 429 count")
+
+        def service_stats() -> dict:
+            return fetch(url + "/stats").body["stats"]["service"]
+
+        check(
+            service_stats()["shed"] == len(shed), "shed counter matches 429 count"
+        )
 
         # Deadline: 1 ms budget on a cold record cannot be met.
         doomed = {"record": 20, "method": "single", "deadline_seconds": 0.001}
-        outcome = post_explain(url, doomed)
-        check(outcome["status"] == 504, "deadline miss maps to HTTP 504")
+        outcome = fetch(url + "/explain", doomed)
+        check(outcome.status == 504, "deadline miss maps to HTTP 504")
         check(
-            outcome["body"].get("code") == "deadline_exceeded",
+            outcome.body.get("code") == "deadline_exceeded",
             "deadline miss carries code=deadline_exceeded",
         )
         # No partial store entry: the same request minus the deadline
         # must actually compute (a poisoned store would answer instantly).
-        before = json.loads(
-            urllib.request.urlopen(url + "/stats", timeout=30).read()
-        )["stats"]["service"]["computed"]
-        retry = post_explain(url, {"record": 20, "method": "single"})
-        check(retry["status"] == 200, "same request without deadline succeeds")
-        after = json.loads(
-            urllib.request.urlopen(url + "/stats", timeout=30).read()
-        )["stats"]["service"]["computed"]
+        before = service_stats()["computed"]
+        retry = fetch(url + "/explain", {"record": 20, "method": "single"})
+        check(retry.status == 200, "same request without deadline succeeds")
         check(
-            after == before + 1,
+            service_stats()["computed"] == before + 1,
             "deadline-aborted request left no store entry (recomputed)",
         )
     finally:
-        stop_http(process)
+        server.stop(signal.SIGINT)
 
 
 def drill_sigterm_drain(root: Path, model_dir: Path, check) -> str:
     print("drill 3: SIGTERM drains within its budget")
-    store_dir = root / "store-drain"
-    process, url = boot_http(
-        store_dir, model_dir, extra=["--drain-timeout", "20"]
-    )
-    outcome = post_explain(url, {"record": 0, "method": "single"})
-    check(outcome["status"] == 200, "pre-drain request succeeds")
+    server = boot_http(root / "store-drain", model_dir, "--drain-timeout", "20")
+    outcome = fetch(server.address + "/explain", {"record": 0, "method": "single"})
+    check(outcome.status == 200, "pre-drain request succeeds")
     started = time.monotonic()
-    process.send_signal(signal.SIGTERM)
-    try:
-        code = process.wait(timeout=40)
-    except subprocess.TimeoutExpired:
-        process.kill()
-        process.wait()
+    code = server.stop(signal.SIGTERM, timeout=40)
+    if code is None:
         check(False, "SIGTERM: server exited within the drain budget")
         return ""
     elapsed = time.monotonic() - started
-    stderr = process.stderr.read() if process.stderr else ""
+    stderr = server.log_text()
     check(code == 0, f"SIGTERM: clean exit code (got {code})")
     check(elapsed < 30, f"SIGTERM: exited in {elapsed:.1f}s (< 30s)")
     check("drain:" in stderr, "SIGTERM: drain summary printed")
@@ -227,15 +160,13 @@ def drill_store_recovery(root: Path, model_dir: Path, check) -> None:
         {"id": "stats", "op": "stats"},
         {"id": "bye", "op": "shutdown"},
     ]
-    responses, _ = serve_jsonl(store_dir, model_dir, batch)
-    baseline = {r["id"]: r for r in responses}
+    baseline = serve_jsonl(store_dir, model_dir, batch)
     check(
         all(r["ok"] for r in baseline.values()), "baseline session all ok"
     )
 
     truncate_file(store_dir / STORE_DB, keep_fraction=0.25)
-    responses2, _ = serve_jsonl(store_dir, model_dir, batch)
-    after = {r["id"]: r for r in responses2}
+    after = serve_jsonl(store_dir, model_dir, batch)
     check(
         all(r["ok"] for r in after.values()),
         "post-corruption session all ok (no crash, no garbage)",
@@ -258,10 +189,7 @@ def drill_midrequest_kill(root: Path, model_dir: Path, check) -> None:
     store_dir = root / "store-kill"
     lines = json.dumps({"id": "doomed", "record": 2, "method": "single"}) + "\n"
     process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "serve", *DATASET_ARGS,
-            "--store-dir", str(store_dir), "--model-dir", str(model_dir),
-        ],
+        serve(store_dir, model_dir),
         stdin=subprocess.PIPE, stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL, text=True,
     )
@@ -271,15 +199,13 @@ def drill_midrequest_kill(root: Path, model_dir: Path, check) -> None:
     try:
         process.communicate(input=lines, timeout=120)
     except subprocess.TimeoutExpired:
-        process.kill()
+        stop(process, signal.SIGKILL)
     finally:
         timer.cancel()
-    batch = [
+    after = serve_jsonl(store_dir, model_dir, [
         {"id": "after", "record": 2, "method": "single"},
         {"id": "bye", "op": "shutdown"},
-    ]
-    responses, _ = serve_jsonl(store_dir, model_dir, batch)
-    after = {r["id"]: r for r in responses}
+    ])
     check(
         after["after"]["ok"],
         "restart over the killed store serves correctly",
@@ -293,35 +219,21 @@ def main(argv=None) -> int:
         help="keep drill outputs here for CI artifact upload",
     )
     args = parser.parse_args(argv)
-    failures: list[str] = []
-    transcript: list[str] = []
+    drill = Drill("chaos_drill", args.artifacts_dir)
 
-    def check(condition: bool, what: str) -> None:
-        line = f"  [{'ok' if condition else 'FAIL'}] {what}"
-        print(line)
-        transcript.append(line)
-        if not condition:
-            failures.append(what)
-
-    started = time.monotonic()
     with tempfile.TemporaryDirectory() as root_text:
         root = Path(root_text)
         model_dir = root / "models"
-        drill_overload_and_deadline(root, model_dir, check)
-        drain_stderr = drill_sigterm_drain(root, model_dir, check)
-        drill_store_recovery(root, model_dir, check)
-        drill_midrequest_kill(root, model_dir, check)
-        if args.artifacts_dir is not None:
-            args.artifacts_dir.mkdir(parents=True, exist_ok=True)
-            (args.artifacts_dir / "chaos_transcript.txt").write_text(
-                "\n".join(transcript) + "\n"
-            )
-            (args.artifacts_dir / "drain_stderr.txt").write_text(drain_stderr)
-            print(f"artifacts kept in {args.artifacts_dir}")
+        drill_overload_and_deadline(root, model_dir, drill.check)
+        drain_stderr = drill_sigterm_drain(root, model_dir, drill.check)
+        drill_store_recovery(root, model_dir, drill.check)
+        drill_midrequest_kill(root, model_dir, drill.check)
+        drill.save({
+            "chaos_transcript.txt": drill.transcript_text(),
+            "drain_stderr.txt": drain_stderr,
+        })
 
-    elapsed = time.monotonic() - started
-    print(f"chaos_drill {'FAILED' if failures else 'passed'} in {elapsed:.0f}s")
-    return 1 if failures else 0
+    return drill.finish()
 
 
 if __name__ == "__main__":

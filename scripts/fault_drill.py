@@ -26,6 +26,7 @@ from repro.config import ExperimentConfig, METHOD_LIME, METHOD_SINGLE
 from repro.evaluation.persistence import load_checkpoint, result_to_dict
 from repro.evaluation.runner import ExperimentRunner
 from repro.matchers.logistic import LogisticRegressionMatcher
+from repro.testing.drill import Drill
 from repro.testing.faults import FlakyMatcher
 
 CONFIG = ExperimentConfig(
@@ -53,12 +54,12 @@ class _Killed(Exception):
 
 
 def main() -> int:
-    failures: list[str] = []
+    drill = Drill("fault_drill")
 
     print("[1/3] clean baseline run")
     baseline = ExperimentRunner(CONFIG).run(DATASETS)
     if not baseline.datasets["S-BR"].metrics:
-        failures.append("baseline produced no metrics")
+        drill.fail("baseline produced no metrics")
 
     print("[2/3] 20%-flaky matcher behind the guard")
     flaky_config = dataclasses.replace(
@@ -74,9 +75,9 @@ def main() -> int:
     print(f"      {stats.summary()}")
     print(f"      {flaky.ledger().summary()}")
     if not flaky.datasets["S-BR"].metrics:
-        failures.append("flaky run produced no metrics")
+        drill.fail("flaky run produced no metrics")
     if stats.guard_retries == 0:
-        failures.append("guard absorbed no retries at 20% fault rate")
+        drill.fail("guard absorbed no retries at 20% fault rate")
 
     print("[3/3] kill after cell 2, then resume")
     with tempfile.TemporaryDirectory() as tmp:
@@ -92,7 +93,7 @@ def main() -> int:
             ExperimentRunner(CONFIG, on_cell=killer).run(
                 DATASETS, run_dir=str(run_dir)
             )
-            failures.append("kill switch never fired")
+            drill.fail("kill switch never fired")
         except _Killed:
             pass
         state = load_checkpoint(run_dir)
@@ -101,14 +102,9 @@ def main() -> int:
             DATASETS, run_dir=str(run_dir), resume=True
         )
         if comparable(resumed) != comparable(baseline):
-            failures.append("resumed run differs from uninterrupted baseline")
+            drill.fail("resumed run differs from uninterrupted baseline")
 
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    print("fault drill passed")
-    return 0
+    return drill.finish()
 
 
 if __name__ == "__main__":

@@ -41,27 +41,66 @@ import argparse
 import json
 import os
 import signal
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from shard_drill import (  # noqa: E402 - sibling script, not a package
-    LoadResult,
-    boot_http,
-    get_json,
-    post_explain,
+from repro.testing.chaos import ChaosProxy
+from repro.testing.drill import (
+    Drill,
+    Retry,
+    cli,
+    fetch,
+    fleet_document,
+    post_retrying,
     run_load,
-    spawn_fleet,
+    spawn,
+    spawn_shard_hosts,
+    wait_health,
+    wait_until,
 )
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-from repro.testing.chaos import ChaosProxy  # noqa: E402
-
+SEED = 11
 N_SHARDS = 3
+DATASET_ARGS = [
+    "--dataset", "S-BR", "--size-cap", "150", "--samples", "32",
+    "--seed", str(SEED),
+]
+SHARD_ARGS = [
+    "--shards", str(N_SHARDS),
+    "--heartbeat-interval", "0.1",
+    "--heartbeat-timeout", "2.0",
+    "--restart-backoff", "0.2",
+    "--drain-timeout", "30",
+]
+FLEET_ARGS = [
+    "--connect-timeout", "1.0",
+    "--connect-budget", "2.0",
+    "--host-loss-after", "2",
+]
+#: Retryable wire codes of the load: the drill retries these, and the
+#: retries must succeed — anything else is a lost request.
+LOAD_RETRY = Retry(
+    codes=frozenset({"shard_failed", "host_lost", "overloaded", "cancelled"}),
+    attempts=6,
+    backoff=0.2,
+)
+#: Weight fetches retry any non-200 reply.
+WEIGHTS_RETRY = Retry(codes=None, attempts=6, backoff=0.3)
 CONTROL_RECORDS = list(range(10))
+
+
+def boot_http(root: Path, store: str, *fleet_args: str):
+    """The sharded ``serve --http`` supervisor on an ephemeral port."""
+    return spawn(
+        cli(
+            "serve", *DATASET_ARGS,
+            "--store-dir", str(root / store), "--model-dir", str(root / "models"),
+            "--http", "127.0.0.1:0", *SHARD_ARGS, *fleet_args,
+        ),
+        "serving on ", "serve --http --shards",
+    )
 
 
 def weights_for(url: str, records: list[int]) -> dict[int, dict]:
@@ -72,16 +111,15 @@ def weights_for(url: str, records: list[int]) -> dict[int, dict]:
     """
     weights = {}
     for record in records:
-        for attempt in range(6):
-            status, body = post_explain(
-                url, {"record": record, "method": "single"}
+        reply, _ = post_retrying(
+            url + "/explain", {"record": record, "method": "single"},
+            WEIGHTS_RETRY,
+        )
+        if reply.status != 200:
+            raise SystemExit(
+                f"record {record} never served: {reply.status} {reply.text}"
             )
-            if status == 200:
-                weights[record] = body["result"]
-                break
-            time.sleep(0.3 * (attempt + 1))
-        else:
-            raise SystemExit(f"record {record} never served: {status} {body}")
+        weights[record] = reply.body["result"]
     return weights
 
 
@@ -93,103 +131,85 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--requests", type=int, default=30)
     args = parser.parse_args(argv)
-    failures: list[str] = []
-    transcript: list[str] = []
+    drill = Drill("fleet_drill", args.artifacts_dir)
+    check = drill.check
     health_snapshots: dict[str, dict] = {}
 
-    def check(condition: bool, what: str) -> None:
-        line = f"  [{'ok' if condition else 'FAIL'}] {what}"
-        print(line, flush=True)
-        transcript.append(line)
-        if not condition:
-            failures.append(what)
-
-    def wait_health(predicate, timeout: float = 30.0):
-        deadline = time.monotonic() + timeout
-        status, health = get_json(url + "/healthz")
-        while time.monotonic() < deadline:
-            status, health = get_json(url + "/healthz")
-            if predicate(status, health):
-                return True, status, health
-            time.sleep(0.1)
-        return False, status, health
-
-    started = time.monotonic()
     with tempfile.TemporaryDirectory() as root_text:
         root = Path(root_text)
 
         print("drill: control run — unharmed pipe fleet")
-        control_process, control_url, _ = boot_http(
-            root / "control-store", root / "models"
-        )
+        control = boot_http(root, "control-store")
         try:
-            control_weights = weights_for(control_url, CONTROL_RECORDS)
+            control_weights = weights_for(control.address, CONTROL_RECORDS)
         finally:
-            control_process.send_signal(signal.SIGTERM)
-            try:
-                control_process.wait(timeout=60)
-            except subprocess.TimeoutExpired:
-                control_process.kill()
-                control_process.wait()
+            control.stop()
 
         print(f"drill: spawning {N_SHARDS} serve-shard hosts + 1 standby, "
               f"shard 1 behind a chaos proxy")
-        hosts, fleet_path = spawn_fleet(root, N_SHARDS, standbys=1)
-        shard1_host, shard1_port = hosts[1][1].rsplit(":", 1)
+        hosts = spawn_shard_hosts(N_SHARDS + 1, root)
+        addresses = [host.address for host in hosts]
+        shard1_host, shard1_port = addresses[1].rsplit(":", 1)
         proxy = ChaosProxy(shard1_host, int(shard1_port))
         proxy.start()
-        document = json.loads(fleet_path.read_text())
-        document["shards"][1]["host"] = proxy.host
-        document["shards"][1]["port"] = proxy.port
-        fleet_path.write_text(json.dumps(document, indent=2))
+        addresses[1] = f"{proxy.host}:{proxy.port}"
+        fleet_path = root / "fleet.json"
+        fleet_path.write_text(json.dumps(fleet_document(
+            addresses[:N_SHARDS], addresses[N_SHARDS:]
+        ), indent=2))
 
-        process, url, server_log = boot_http(
-            root / "store", root / "models", fleet_path
-        )
+        children = list(hosts)
         try:
-            status, health = get_json(url + "/healthz")
+            server = boot_http(
+                root, "store", "--fleet", str(fleet_path), *FLEET_ARGS
+            )
+            url = server.address
+            children.append(server)
+            reply = fetch(url + "/healthz")
+            health = reply.body
             check(
-                status == 200 and len(health.get("shards", {})) == N_SHARDS,
+                reply.status == 200
+                and len(health.get("shards", {})) == N_SHARDS,
                 "fleet up: healthz 200 with every shard adopted over TCP",
             )
             health_snapshots["healthy"] = health
 
             # ---- phase A: kill a whole host under load ---------------
             print(f"drill: sustained load, SIGKILL host 0 "
-                  f"(pid {hosts[0][0].pid})")
-            result = LoadResult()
-            pool = run_load(url, args.requests, result)
+                  f"(pid {hosts[0].process.pid})")
+            load = run_load(url, args.requests, LOAD_RETRY)
             time.sleep(0.5)
-            os.kill(hosts[0][0].pid, signal.SIGKILL)
+            os.kill(hosts[0].process.pid, signal.SIGKILL)
 
             ok, status, health = wait_health(
+                url,
                 lambda s, h: s == 200 and "0" in h.get("degraded", [])
-                or h.get("shards", {}).get("0", {}).get("restarts", 0) >= 1
+                or h.get("shards", {}).get("0", {}).get("restarts", 0) >= 1,
             )
             degraded_seen = "0" in health.get("degraded", [])
             health_snapshots["host0_killed"] = health
-            for thread in pool:
-                thread.join(timeout=300)
+            load.join()
             check(
-                result.completed == args.requests,
+                load.completed == args.requests,
                 f"zero lost requests through the host kill: "
-                f"{result.completed}/{args.requests} completed "
-                f"({result.retried} retried, {len(result.lost)} lost: "
-                f"{result.lost[:3]})",
+                f"{load.completed}/{args.requests} completed "
+                f"({load.retried} retried, {len(load.lost)} lost: "
+                f"{load.lost[:3]})",
             )
             if degraded_seen:
                 check(True, "one killed host read degraded, not down")
 
             ok, status, health = wait_health(
+                url,
                 lambda s, h: s == 200
                 and h.get("shards", {}).get("0", {}).get("state") == "live"
-                and hosts[0][1] in h.get("lost_hosts", [])
+                and hosts[0].address in h.get("lost_hosts", []),
             )
             check(ok, "killed host declared lost; shard 0 replaced onto "
                       "the standby")
             check(
                 health.get("shards", {}).get("0", {}).get("host")
-                == hosts[-1][1],
+                == hosts[-1].address,
                 "healthz maps shard 0 to the standby host",
             )
             health_snapshots["standby_replaced"] = health
@@ -198,8 +218,9 @@ def main(argv=None) -> int:
             print("drill: partitioning shard 1, then SIGKILL host 2")
             proxy.partition()
             ok, status, health = wait_health(
+                url,
                 lambda s, h: h.get("shards", {}).get("1", {}).get("state")
-                != "live"
+                != "live",
             )
             check(ok, "partition detected by heartbeat silence alone")
             check(
@@ -209,9 +230,9 @@ def main(argv=None) -> int:
             )
             health_snapshots["partitioned"] = health
 
-            os.kill(hosts[2][0].pid, signal.SIGKILL)
+            os.kill(hosts[2].process.pid, signal.SIGKILL)
             ok, status, health = wait_health(
-                lambda s, h: s == 503 and h.get("reason") == "quorum_lost"
+                url, lambda s, h: s == 503 and h.get("reason") == "quorum_lost"
             )
             check(ok, "partition + second host kill reads 503 quorum_lost")
             health_snapshots["quorum_lost"] = health
@@ -219,6 +240,7 @@ def main(argv=None) -> int:
             print("drill: healing the partition")
             proxy.heal()
             ok, status, health = wait_health(
+                url,
                 lambda s, h: s == 200
                 and h.get("shards", {}).get("1", {}).get("state") == "live",
                 timeout=60.0,
@@ -232,7 +254,9 @@ def main(argv=None) -> int:
             # Declaring host 2 lost takes host_loss_after failed connect
             # cycles; give the supervisor time to finish knocking.
             ok, status, health = wait_health(
-                lambda s, h: s == 200 and hosts[2][1] in h.get("lost_hosts", [])
+                url,
+                lambda s, h: s == 200
+                and hosts[2].address in h.get("lost_hosts", []),
             )
             check(
                 ok,
@@ -243,10 +267,8 @@ def main(argv=None) -> int:
 
             # The partitioned host kept its service warm: re-adoption
             # must not have rebuilt it.
-            load_b = LoadResult()
-            pool = run_load(url, args.requests, load_b)
-            for thread in pool:
-                thread.join(timeout=300)
+            load_b = run_load(url, args.requests, LOAD_RETRY)
+            load_b.join()
             check(
                 load_b.completed == args.requests,
                 f"zero lost requests after the heal: "
@@ -258,8 +280,8 @@ def main(argv=None) -> int:
             print("drill: comparing explanation weights with the control")
             try:
                 fleet_weights = weights_for(url, CONTROL_RECORDS)
-            except SystemExit as stop:
-                check(False, f"fleet refused to serve weights: {stop}")
+            except SystemExit as refused:
+                check(False, f"fleet refused to serve weights: {refused}")
                 fleet_weights = {}
             mismatched = [
                 record for record in CONTROL_RECORDS
@@ -275,22 +297,13 @@ def main(argv=None) -> int:
 
             # ---- drain -----------------------------------------------
             print("drill: SIGTERM drains the fleet")
-            process.send_signal(signal.SIGTERM)
-            try:
-                code = process.wait(timeout=60)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                process.wait()
-                code = None
+            code = server.stop()
             check(code == 0, f"SIGTERM: clean exit code (got {code})")
             survivors = [hosts[1], hosts[3]]  # hosts 0 and 2 were killed
-            drained = 0
-            for host_process, _, _ in survivors:
-                try:
-                    host_process.wait(timeout=30)
-                    drained += 1
-                except subprocess.TimeoutExpired:
-                    pass
+            drained = sum(
+                wait_until(lambda: host.process.poll() is not None, 30)
+                for host in survivors
+            )
             check(
                 drained == len(survivors),
                 f"drain shut down {drained}/{len(survivors)} surviving "
@@ -298,36 +311,22 @@ def main(argv=None) -> int:
             )
         finally:
             proxy.close()
-            if process.poll() is None:
-                process.kill()
-                process.wait()
-            for host_process, _, _ in hosts:
-                if host_process.poll() is None:
-                    host_process.kill()
-                    host_process.wait()
+            for child in children:
+                child.stop(signal.SIGKILL)
 
-        if args.artifacts_dir is not None:
-            args.artifacts_dir.mkdir(parents=True, exist_ok=True)
-            (args.artifacts_dir / "fleet_transcript.txt").write_text(
-                "\n".join(transcript) + "\n"
-            )
-            (args.artifacts_dir / "fleet_supervisor_log.txt").write_text(
-                "".join(server_log)
-            )
-            (args.artifacts_dir / "fleet_health_snapshots.json").write_text(
-                json.dumps(health_snapshots, indent=2, sort_keys=True)
-            )
-            (args.artifacts_dir / "fleet_weights.json").write_text(
-                json.dumps(
-                    {"control": control_weights, "fleet": fleet_weights},
-                    indent=2, sort_keys=True, default=str,
-                )
-            )
-            print(f"artifacts kept in {args.artifacts_dir}")
+        drill.save({
+            "fleet_transcript.txt": drill.transcript_text(),
+            "fleet_supervisor_log.txt": server.log_text(),
+            "fleet_health_snapshots.json": json.dumps(
+                health_snapshots, indent=2, sort_keys=True
+            ),
+            "fleet_weights.json": json.dumps(
+                {"control": control_weights, "fleet": fleet_weights},
+                indent=2, sort_keys=True, default=str,
+            ),
+        })
 
-    elapsed = time.monotonic() - started
-    print(f"fleet_drill {'FAILED' if failures else 'passed'} in {elapsed:.0f}s")
-    return 1 if failures else 0
+    return drill.finish()
 
 
 if __name__ == "__main__":

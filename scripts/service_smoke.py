@@ -28,14 +28,12 @@ from __future__ import annotations
 import argparse
 import json
 import re
-import shutil
 import signal
-import subprocess
 import sys
 import tempfile
-import time
-import urllib.request
 from pathlib import Path
+
+from repro.testing.drill import Drill, cli, fetch, jsonl_session, spawn
 
 DATASET_ARGS = ["--dataset", "S-BR", "--size-cap", "150", "--samples", "32"]
 
@@ -44,24 +42,17 @@ PROMETHEUS_LINE = re.compile(
 )
 
 
+def serve(store_dir: Path, model_dir: Path, *extra: str) -> list[str]:
+    return cli(
+        "serve", *DATASET_ARGS,
+        "--store-dir", str(store_dir), "--model-dir", str(model_dir),
+        "--workers", "2", *extra,
+    )
+
+
 def run_serve(store_dir: Path, model_dir: Path, requests: list[dict]) -> list[dict]:
     """One server process: feed *requests* as JSONL, return the responses."""
-    lines = "".join(json.dumps(r) + "\n" for r in requests)
-    process = subprocess.run(
-        [
-            sys.executable, "-m", "repro.cli", "serve", *DATASET_ARGS,
-            "--store-dir", str(store_dir), "--model-dir", str(model_dir),
-            "--workers", "2",
-        ],
-        input=lines,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    if process.returncode != 0:
-        print(process.stderr, file=sys.stderr)
-        raise SystemExit(f"serve exited with {process.returncode}")
-    return [json.loads(line) for line in process.stdout.splitlines()]
+    return jsonl_session(serve(store_dir, model_dir), requests)[0]
 
 
 def parse_prometheus(text: str) -> dict[str, float]:
@@ -82,90 +73,58 @@ def parse_prometheus(text: str) -> dict[str, float]:
 
 
 def http_session(
-    store_dir: Path, model_dir: Path, trace_path: Path, check
+    store_dir: Path, model_dir: Path, trace_path: Path, drill: Drill
 ) -> tuple[str, str]:
     """Boot ``serve --http``, drive it, scrape /metrics twice.
 
     Returns the two raw scrapes so the caller can archive them.
     """
-    process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "serve", *DATASET_ARGS,
-            "--store-dir", str(store_dir), "--model-dir", str(model_dir),
-            "--workers", "2", "--http", "127.0.0.1:0",
-            "--trace", str(trace_path),
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
+    server = spawn(
+        serve(store_dir, model_dir, "--http", "127.0.0.1:0",
+              "--trace", str(trace_path)),
+        "serving on ", "serve --http",
     )
+    drill.check(True, "HTTP server announced its address")
+    url = server.address
     try:
-        # The CLI announces the bound ephemeral port on stderr.
-        address = None
-        deadline = time.monotonic() + 120
-        while time.monotonic() < deadline:
-            line = process.stderr.readline()
-            if line.startswith("serving on "):
-                address = line.split()[2]
-                break
-            if not line and process.poll() is not None:
-                break
-        check(address is not None, "HTTP server announced its address")
-        if address is None:
-            raise SystemExit("serve --http did not come up")
-
-        def get(path: str) -> tuple[int, str]:
-            with urllib.request.urlopen(address + path, timeout=60) as resp:
-                return resp.status, resp.read().decode("utf-8")
-
-        status, body = get("/healthz")
-        health = json.loads(body)
-        check(
-            status == 200 and health["ok"] is True,
+        reply = fetch(url + "/healthz")
+        drill.check(
+            reply.status == 200 and reply.body["ok"] is True,
             "healthz reports ok",
         )
 
-        explain = json.dumps({"record": 2, "method": "single"}).encode()
-        request = urllib.request.Request(
-            address + "/explain", data=explain, method="POST"
+        explain = {"record": 2, "method": "single"}
+        drill.check(
+            fetch(url + "/explain", explain).body["ok"], "HTTP explain request ok"
         )
-        with urllib.request.urlopen(request, timeout=120) as resp:
-            check(
-                json.loads(resp.read())["ok"], "HTTP explain request ok"
-            )
-        _, scrape1 = get("/metrics")
-        with urllib.request.urlopen(request, timeout=120) as resp:
-            resp.read()
-        _, scrape2 = get("/metrics")
+        scrape1 = fetch(url + "/metrics").text
+        fetch(url + "/explain", explain)
+        scrape2 = fetch(url + "/metrics").text
 
         try:
             first, second = parse_prometheus(scrape1), parse_prometheus(scrape2)
-            check(True, "both /metrics scrapes parse as Prometheus text")
+            drill.check(True, "both /metrics scrapes parse as Prometheus text")
         except ValueError as exc:
-            check(False, str(exc))
+            drill.fail(str(exc))
             return scrape1, scrape2
         counters = [k for k in first if "_total{" in k or k.endswith("_total")]
-        check(bool(counters), "scrape exposes counters")
+        drill.check(bool(counters), "scrape exposes counters")
         regressed = [
             k for k in counters if second.get(k, 0.0) < first[k]
         ]
-        check(not regressed, f"counters monotone between scrapes {regressed}")
+        drill.check(
+            not regressed, f"counters monotone between scrapes {regressed}"
+        )
         requests_key = next(
             k for k in counters if k.startswith("repro_service_requests_total")
         )
-        check(
+        drill.check(
             second[requests_key] > first[requests_key],
             "service request counter advanced",
         )
         return scrape1, scrape2
     finally:
-        if process.poll() is None:
-            process.send_signal(signal.SIGINT)
-            try:
-                process.wait(timeout=60)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                process.wait()
+        server.stop(signal.SIGINT)
 
 
 def main(argv=None) -> int:
@@ -175,12 +134,8 @@ def main(argv=None) -> int:
         help="keep trace/metrics outputs here for CI artifact upload",
     )
     args = parser.parse_args(argv)
-    failures: list[str] = []
-
-    def check(condition: bool, what: str) -> None:
-        print(f"  [{'ok' if condition else 'FAIL'}] {what}")
-        if not condition:
-            failures.append(what)
+    drill = Drill("service_smoke", args.artifacts_dir)
+    check = drill.check
 
     with tempfile.TemporaryDirectory() as root:
         store_dir = Path(root) / "store"
@@ -236,7 +191,7 @@ def main(argv=None) -> int:
         print("session 3: HTTP endpoint, /metrics scrape, trace export")
         trace_path = Path(root) / "trace.json"
         scrape1, scrape2 = http_session(
-            store_dir, model_dir, trace_path, check
+            store_dir, model_dir, trace_path, drill
         )
         check(trace_path.exists(), "trace JSON written on shutdown")
         metrics_path = store_dir / "metrics.json"
@@ -251,17 +206,16 @@ def main(argv=None) -> int:
                 "metrics snapshot carries the service counters",
             )
 
-        if args.artifacts_dir is not None:
-            args.artifacts_dir.mkdir(parents=True, exist_ok=True)
-            for source in (trace_path, metrics_path):
-                if source.exists():
-                    shutil.copy(source, args.artifacts_dir / source.name)
-            (args.artifacts_dir / "metrics_scrape_1.prom").write_text(scrape1)
-            (args.artifacts_dir / "metrics_scrape_2.prom").write_text(scrape2)
-            print(f"artifacts kept in {args.artifacts_dir}")
+        drill.save({
+            **{
+                source.name: source.read_text()
+                for source in (trace_path, metrics_path) if source.exists()
+            },
+            "metrics_scrape_1.prom": scrape1,
+            "metrics_scrape_2.prom": scrape2,
+        })
 
-    print("service_smoke", "FAILED" if failures else "passed")
-    return 1 if failures else 0
+    return drill.finish()
 
 
 if __name__ == "__main__":

@@ -44,14 +44,23 @@ import argparse
 import json
 import os
 import signal
-import subprocess
 import sys
 import tempfile
-import threading
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
+
+from repro.testing.drill import (
+    Drill,
+    Retry,
+    cli,
+    fetch,
+    fleet_document,
+    run_load,
+    spawn,
+    spawn_shard_hosts,
+    wait_health,
+    wait_until,
+)
 
 SEED = 11
 N_SHARDS = 3
@@ -73,171 +82,11 @@ FLEET_ARGS = [
 ]
 #: Retryable wire codes: the drill retries these, and the retries must
 #: succeed — anything else is a lost request.
-RETRYABLE = {"shard_failed", "host_lost", "overloaded", "cancelled"}
-
-
-def _await_banner(process, prefix: str, what: str, timeout: float = 180.0):
-    """Read stderr until the startup banner; returns (address, lines)."""
-    stderr_lines: list[str] = []
-    address = None
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        line = process.stderr.readline()
-        stderr_lines.append(line)
-        if line.startswith(prefix):
-            address = line[len(prefix):].split()[0]
-            break
-        if not line and process.poll() is not None:
-            break
-    if address is None:
-        print("".join(stderr_lines), file=sys.stderr)
-        raise SystemExit(f"{what} did not come up")
-
-    def pump() -> None:  # keep draining so the server never blocks on stderr
-        for line in process.stderr:
-            stderr_lines.append(line)
-
-    threading.Thread(target=pump, daemon=True).start()
-    return address, stderr_lines
-
-
-def boot_http(store_dir: Path, model_dir: Path, fleet_path: Path | None = None):
-    """Boot the sharded server on an ephemeral port; (process, url, stderr)."""
-    shard_args = list(SHARD_ARGS)
-    if fleet_path is not None:
-        shard_args += ["--fleet", str(fleet_path), *FLEET_ARGS]
-    process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "serve", *DATASET_ARGS,
-            "--store-dir", str(store_dir), "--model-dir", str(model_dir),
-            "--http", "127.0.0.1:0", *shard_args,
-        ],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
-    address, collected = _await_banner(
-        process, "serving on ", "serve --http --shards"
-    )
-    return process, address, collected
-
-
-def spawn_shard_host(store_dir: Path | None = None):
-    """One ``serve-shard`` host process; (process, "host:port", stderr)."""
-    command = [sys.executable, "-m", "repro.cli", "serve-shard", "--port", "0"]
-    if store_dir is not None:
-        command += ["--store-dir", str(store_dir)]
-    process = subprocess.Popen(
-        command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
-    address, collected = _await_banner(
-        process, "serving shard on ", "serve-shard"
-    )
-    return process, address, collected
-
-
-def spawn_fleet(root: Path, n_shards: int, standbys: int = 1):
-    """*n_shards* + *standbys* shard hosts and their fleet.json."""
-    hosts = []
-    for index in range(n_shards + standbys):
-        hosts.append(spawn_shard_host(root / f"host{index}-store"))
-    document = {
-        "shards": [
-            {
-                "id": index,
-                "host": hosts[index][1].rsplit(":", 1)[0],
-                "port": int(hosts[index][1].rsplit(":", 1)[1]),
-            }
-            for index in range(n_shards)
-        ],
-        "standbys": [
-            {
-                "host": hosts[index][1].rsplit(":", 1)[0],
-                "port": int(hosts[index][1].rsplit(":", 1)[1]),
-            }
-            for index in range(n_shards, n_shards + standbys)
-        ],
-    }
-    fleet_path = root / "fleet.json"
-    fleet_path.write_text(json.dumps(document, indent=2))
-    return hosts, fleet_path
-
-
-def get_json(url: str, timeout: float = 30.0) -> tuple[int, dict]:
-    try:
-        with urllib.request.urlopen(url, timeout=timeout) as response:
-            return response.status, json.loads(response.read())
-    except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
-
-
-def post_explain(url: str, payload: dict, timeout: float = 120.0) -> tuple[int, dict]:
-    request = urllib.request.Request(
-        url + "/explain",
-        data=json.dumps(payload).encode("utf-8"),
-        method="POST",
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.status, json.loads(response.read())
-    except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
-
-
-class LoadResult:
-    """Per-request outcome ledger of the sustained load."""
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.completed = 0
-        self.retried = 0
-        self.lost: list[str] = []
-
-
-def run_load(url: str, n_requests: int, result: LoadResult, threads: int = 4):
-    """*n_requests* explain calls with retry-on-retryable, concurrently."""
-
-    def one(record: int) -> None:
-        payload = {"record": record % 100, "method": "single"}
-        for attempt in range(6):
-            try:
-                status, body = post_explain(url, payload)
-            except Exception as error:  # noqa: BLE001 - connection-level loss
-                with result.lock:
-                    result.lost.append(f"record {record}: transport {error}")
-                return
-            if status == 200:
-                with result.lock:
-                    result.completed += 1
-                    if attempt:
-                        result.retried += 1
-                return
-            if body.get("code") in RETRYABLE:
-                time.sleep(0.2 * (attempt + 1))
-                continue
-            with result.lock:
-                result.lost.append(
-                    f"record {record}: terminal {status} {body.get('code')}"
-                )
-            return
-        with result.lock:
-            result.lost.append(f"record {record}: retries exhausted")
-
-    pending = list(range(n_requests))
-    pool: list[threading.Thread] = []
-    lock = threading.Lock()
-
-    def worker() -> None:
-        while True:
-            with lock:
-                if not pending:
-                    return
-                record = pending.pop()
-            one(record)
-
-    for _ in range(threads):
-        thread = threading.Thread(target=worker, daemon=True)
-        thread.start()
-        pool.append(thread)
-    return pool
+RETRY = Retry(
+    codes=frozenset({"shard_failed", "host_lost", "overloaded", "cancelled"}),
+    attempts=6,
+    backoff=0.2,
+)
 
 
 def main(argv=None) -> int:
@@ -254,34 +103,42 @@ def main(argv=None) -> int:
              "the killed host",
     )
     args = parser.parse_args(argv)
-    failures: list[str] = []
-    transcript: list[str] = []
+    drill = Drill(f"shard_drill ({args.transport})", args.artifacts_dir)
+    check = drill.check
 
-    def check(condition: bool, what: str) -> None:
-        line = f"  [{'ok' if condition else 'FAIL'}] {what}"
-        print(line, flush=True)
-        transcript.append(line)
-        if not condition:
-            failures.append(what)
-
-    started = time.monotonic()
     metrics_document: dict = {}
     with tempfile.TemporaryDirectory() as root_text:
         root = Path(root_text)
         hosts: list = []
-        fleet_path = None
+        shard_args = list(SHARD_ARGS)
         if args.transport == "tcp":
             print(f"drill: spawning {N_SHARDS} serve-shard hosts + 1 standby")
-            hosts, fleet_path = spawn_fleet(root, N_SHARDS, standbys=1)
-        process, url, server_log = boot_http(
-            root / "store", root / "models", fleet_path
-        )
+            hosts = spawn_shard_hosts(N_SHARDS + 1, root)
+            addresses = [host.address for host in hosts]
+            fleet_path = root / "fleet.json"
+            fleet_path.write_text(json.dumps(fleet_document(
+                addresses[:N_SHARDS], addresses[N_SHARDS:]
+            ), indent=2))
+            shard_args += ["--fleet", str(fleet_path), *FLEET_ARGS]
+        children = list(hosts)
         try:
+            server = spawn(
+                cli(
+                    "serve", *DATASET_ARGS,
+                    "--store-dir", str(root / "store"),
+                    "--model-dir", str(root / "models"),
+                    "--http", "127.0.0.1:0", *shard_args,
+                ),
+                "serving on ", "serve --http --shards",
+            )
+            url = server.address
+            children.append(server)
             print("drill: sharded server up; priming and reading /healthz")
-            status, body = post_explain(url, {"record": 0, "method": "single"})
-            check(status == 200, "priming request succeeds")
-            status, health = get_json(url + "/healthz")
-            check(status == 200, "healthz is 200 with all shards live")
+            reply = fetch(url + "/explain", {"record": 0, "method": "single"})
+            check(reply.status == 200, "priming request succeeds")
+            reply = fetch(url + "/healthz")
+            health = reply.body
+            check(reply.status == 200, "healthz is 200 with all shards live")
             check(
                 len(health.get("shards", {})) == N_SHARDS,
                 f"healthz reports {N_SHARDS} shards",
@@ -290,9 +147,9 @@ def main(argv=None) -> int:
             if args.transport == "tcp":
                 # The victim is the whole host process, whose pid the
                 # drill owns; health instead names its host address.
-                victim_pid = hosts[0][0].pid
+                victim_pid = hosts[0].process.pid
                 check(
-                    health["shards"][victim_id]["host"] == hosts[0][1],
+                    health["shards"][victim_id]["host"] == hosts[0].address,
                     "healthz maps the victim shard to its fleet host",
                 )
             else:
@@ -303,71 +160,60 @@ def main(argv=None) -> int:
 
             print(f"drill: sustained load, then SIGKILL shard {victim_id} "
                   f"(pid {victim_pid})")
-            result = LoadResult()
-            pool = run_load(url, args.requests, result)
+            load = run_load(url, args.requests, RETRY)
             time.sleep(1.0)  # let the load reach every shard
             os.kill(victim_pid, signal.SIGKILL)
 
             # While the victim is down (slow-ish restart backoff would
             # widen this window; with 0.2s it's tight), the service must
-            # not report itself down.
-            degraded_seen = False
-            deadline = time.monotonic() + 10
-            while time.monotonic() < deadline:
-                status, health = get_json(url + "/healthz")
-                check_now = health.get("degraded")
-                if status == 200 and check_now and victim_id in check_now:
-                    degraded_seen = True
-                    break
-                if health.get("shards", {}).get(victim_id, {}).get("restarts"):
-                    break  # already recovered — window missed, not a failure
-                time.sleep(0.05)
-            for thread in pool:
-                thread.join(timeout=300)
+            # not report itself down.  A restart seen first means the
+            # window was missed, which is not a failure.
+            _, status, health = wait_health(
+                url,
+                lambda s, h: s == 200 and victim_id in h.get("degraded", [])
+                or h.get("shards", {}).get(victim_id, {}).get("restarts"),
+                timeout=10, interval=0.05,
+            )
+            degraded_seen = status == 200 and victim_id in health.get(
+                "degraded", []
+            )
+            load.join()
             check(
-                result.completed == args.requests,
-                f"zero lost requests: {result.completed}/{args.requests} "
-                f"completed ({result.retried} retried, "
-                f"{len(result.lost)} lost: {result.lost[:3]})",
+                load.completed == args.requests,
+                f"zero lost requests: {load.completed}/{args.requests} "
+                f"completed ({load.retried} retried, "
+                f"{len(load.lost)} lost: {load.lost[:3]})",
             )
             if degraded_seen:
                 check(True, "healthz reported degraded (not down) while dead")
 
             print("drill: waiting for supervisor restart")
-            recovered = False
-            deadline = time.monotonic() + 30
-            while time.monotonic() < deadline:
-                status, health = get_json(url + "/healthz")
-                shard = health.get("shards", {}).get(victim_id, {})
-                if (
-                    status == 200
-                    and shard.get("state") == "live"
-                    and shard.get("restarts", 0) >= 1
-                    and not health.get("degraded")
-                ):
-                    recovered = True
-                    break
-                time.sleep(0.1)
+            recovered, _, health = wait_health(
+                url,
+                lambda s, h: s == 200
+                and h.get("shards", {}).get(victim_id, {}).get("state") == "live"
+                and h["shards"][victim_id].get("restarts", 0) >= 1
+                and not h.get("degraded"),
+            )
             check(recovered, "killed shard restarted and healthz fully healthy")
             if args.transport == "tcp":
-                status, health = get_json(url + "/healthz")
+                health = fetch(url + "/healthz").body
                 check(
-                    hosts[0][1] in health.get("lost_hosts", []),
+                    hosts[0].address in health.get("lost_hosts", []),
                     "healthz lists the killed host as lost",
                 )
                 check(
-                    health["shards"][victim_id]["host"] == hosts[-1][1],
+                    health["shards"][victim_id]["host"] == hosts[-1].address,
                     "victim shard id was replaced onto the standby host",
                 )
                 check(
                     health.get("standbys_available") == 0,
                     "the standby pool is spent",
                 )
-            status, body = post_explain(url, {"record": 0, "method": "single"})
-            check(status == 200, "post-recovery request succeeds")
+            reply = fetch(url + "/explain", {"record": 0, "method": "single"})
+            check(reply.status == 200, "post-recovery request succeeds")
 
-            with urllib.request.urlopen(url + "/metrics", timeout=30) as resp:
-                metrics_text = resp.read().decode("utf-8")
+            metrics_text = fetch(url + "/metrics").text
             check(
                 all(f'shard="{i}"' in metrics_text for i in range(N_SHARDS)),
                 "metrics roll up every shard with shard labels",
@@ -381,64 +227,42 @@ def main(argv=None) -> int:
                     'host="' in metrics_text,
                     "remote shard series carry host labels",
                 )
-            status, body = post_explain(url, {"op": "metrics"})
-            check(status == 200, "metrics op returns the fleet JSON document")
-            metrics_document = body.get("metrics", {})
+            reply = fetch(url + "/explain", {"op": "metrics"})
+            check(
+                reply.status == 200,
+                "metrics op returns the fleet JSON document",
+            )
+            metrics_document = reply.body.get("metrics", {})
 
             print("drill: SIGTERM drains the fleet")
-            process.send_signal(signal.SIGTERM)
-            try:
-                code = process.wait(timeout=60)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                process.wait()
-                code = None
+            code = server.stop()
             check(code == 0, f"SIGTERM: clean exit code (got {code})")
-            log_text = "".join(server_log)
-            check("drain:" in log_text, "drain summary printed")
+            check("drain:" in server.log_text(), "drain summary printed")
             if args.transport == "tcp":
                 # The supervisor's drain decommissions every adopted
                 # host: their processes must exit on their own.
-                drained_hosts = 0
-                for host_process, _, _ in hosts[1:]:
-                    try:
-                        host_process.wait(timeout=30)
-                        drained_hosts += 1
-                    except subprocess.TimeoutExpired:
-                        pass
+                drained_hosts = sum(
+                    wait_until(lambda: host.process.poll() is not None, 30)
+                    for host in hosts[1:]
+                )
                 check(
                     drained_hosts == len(hosts) - 1,
                     f"drain shut down {drained_hosts}/{len(hosts) - 1} "
                     f"surviving shard hosts",
                 )
         finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait()
-            for host_process, _, _ in hosts:
-                if host_process.poll() is None:
-                    host_process.kill()
-                    host_process.wait()
+            for child in children:
+                child.stop(signal.SIGKILL)
 
-        if args.artifacts_dir is not None:
-            args.artifacts_dir.mkdir(parents=True, exist_ok=True)
-            (args.artifacts_dir / "shard_transcript.txt").write_text(
-                "\n".join(transcript) + "\n"
-            )
-            (args.artifacts_dir / "supervisor_log.txt").write_text(
-                "".join(server_log)
-            )
-            (args.artifacts_dir / "shard_metrics.json").write_text(
-                json.dumps(metrics_document, indent=2, sort_keys=True)
-            )
-            print(f"artifacts kept in {args.artifacts_dir}")
+        drill.save({
+            "shard_transcript.txt": drill.transcript_text(),
+            "supervisor_log.txt": server.log_text(),
+            "shard_metrics.json": json.dumps(
+                metrics_document, indent=2, sort_keys=True
+            ),
+        })
 
-    elapsed = time.monotonic() - started
-    print(
-        f"shard_drill ({args.transport}) "
-        f"{'FAILED' if failures else 'passed'} in {elapsed:.0f}s"
-    )
-    return 1 if failures else 0
+    return drill.finish()
 
 
 if __name__ == "__main__":

@@ -953,8 +953,11 @@ def _build_service(args: argparse.Namespace, dataset):
 
 
 def _write_service_stats(service, store_dir: Path | None) -> None:
+    """``service_stats.json`` and ``metrics.json`` into *store_dir*."""
     if store_dir is None:
         return
+    import json
+
     from repro.evaluation.persistence import save_service_stats
 
     # In fleet mode the store partitions live on the shard hosts, so
@@ -963,6 +966,15 @@ def _write_service_stats(service, store_dir: Path | None) -> None:
     path = Path(store_dir) / "service_stats.json"
     save_service_stats(service.stats_payload(), path)
     print(f"wrote {path}", file=sys.stderr)
+    if service.metrics.enabled:
+        # service.metrics_json() is fleet-aware: sharded, it merges
+        # every shard's final families next to the router's own.
+        path = Path(store_dir) / "metrics.json"
+        path.write_text(
+            json.dumps(service.metrics_json(), indent=2, sort_keys=True),
+            encoding="utf-8",
+        )
+        print(f"wrote {path}", file=sys.stderr)
 
 
 def _install_drain_handler() -> None:
@@ -1025,23 +1037,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         print(service.stats.summary(), file=sys.stderr)
         _write_service_stats(service, args.store_dir)
-        metrics_path = (
-            Path(args.store_dir) / "metrics.json"
-            if args.store_dir is not None else None
-        )
-        _obs_finish(args, service.metrics, None)
-        if metrics_path is not None and service.metrics.enabled:
-            # service.metrics_json() is fleet-aware: sharded, it merges
-            # every shard's final families next to the router's own.
-            import json as _json
-
-            metrics_path.write_text(
-                _json.dumps(
-                    service.metrics_json(), indent=2, sort_keys=True
-                ),
-                encoding="utf-8",
-            )
-            print(f"wrote {metrics_path}", file=sys.stderr)
+        _obs_finish(args, service.metrics)
         if store is not None:
             store.close()
     return 0
@@ -1135,11 +1131,7 @@ def _cmd_precompute(args: argparse.Namespace) -> int:
     print(report.summary())
     print(service.stats.summary())
     _write_service_stats(service, args.store_dir)
-    metrics_path = (
-        Path(args.store_dir) / "metrics.json"
-        if args.store_dir is not None else None
-    )
-    _obs_finish(args, service.metrics, metrics_path)
+    _obs_finish(args, service.metrics)
     if store is not None:
         store.close()
     return 0 if report.n_failed == 0 else 1

@@ -64,9 +64,10 @@ host and mangles the TCP stream in-flight:
 
 Used by ``tests/service/test_lifecycle.py``, the store-recovery and
 sharded-service tests, the backend failure-taxonomy tests, the fleet
-tests, ``scripts/chaos_drill.py``, ``scripts/shard_drill.py``,
-``scripts/backend_drill.py`` and ``scripts/fleet_drill.py`` (the CI
-chaos jobs).
+tests, and the CI chaos drills: ``scripts/chaos_drill.py`` uses
+:func:`kill_after`, :func:`overload_burst` and :func:`truncate_file`,
+``scripts/fleet_drill.py`` the :class:`ChaosProxy`.  The drills' process,
+HTTP and reporting scaffolding lives in :mod:`repro.testing.drill`.
 """
 
 from __future__ import annotations

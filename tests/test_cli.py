@@ -409,6 +409,22 @@ class TestPrecomputeCommand:
         assert payload["service"]["computed"] == 2
         assert payload["store"]["puts"] == 2
 
+    def test_sharded_metrics_json_merges_the_shards(self, tmp_path):
+        import json
+
+        store_dir = tmp_path / "store"
+        code = main(
+            [
+                "precompute", "--dataset", "S-BR", "--size-cap", "150",
+                "--per-label", "1", "--samples", "32", "--shards", "2",
+                "--store-dir", str(store_dir),
+            ]
+        )
+        assert code == 0
+        document = json.loads((store_dir / "metrics.json").read_text())
+        names = {family["name"] for family in document["metrics"]}
+        assert "repro_service_requests_total" in names
+
 
 class TestBulkCommand:
     def test_bulk_run_report_and_warm_dedup(self, tmp_path, capsys):
