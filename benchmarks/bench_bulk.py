@@ -20,14 +20,15 @@ Three assertions gate the exit code:
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_bulk.py --fast
+    PYTHONPATH=src python benchmarks/bench_bulk.py --smoke
 
-``--fast`` is the CI smoke configuration (~1 min on one CPU).
+``--smoke`` is the CI configuration (~1 min on one CPU);
+``--artifacts-dir DIR`` keeps the timings and counters as
+``bench_bulk.json``.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 
@@ -37,6 +38,7 @@ from repro.data.synthetic.magellan import load_dataset
 from repro.matchers.logistic import LogisticRegressionMatcher
 from repro.service.request import ExplainRequest
 from repro.service.service import ExplanationService
+from repro.testing.drill import run_bench
 
 
 def run_service_path(matcher, pairs, method, samples, seed):
@@ -69,13 +71,11 @@ def run_bulk_path(matcher, source, method, samples, seed, chunk_size):
     return job, report, time.perf_counter() - started
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def add_arguments(parser):
     parser.add_argument("--dataset", default="S-BR")
     parser.add_argument("--per-label", type=int, default=8)
     parser.add_argument("--samples", type=int, default=96)
     parser.add_argument("--size-cap", type=int, default=500)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--method", default="both",
                         choices=("single", "double", "both"))
     parser.add_argument(
@@ -86,16 +86,12 @@ def main(argv=None):
         "--min-ratio", type=float, default=1.0,
         help="required bulk/service per-pair throughput ratio",
     )
-    parser.add_argument("--output", default=None,
-                        help="write the run JSON (timings + counters) here")
-    parser.add_argument(
-        "--fast", action="store_true",
-        help="CI smoke scale: 4 records per label, 48 samples, 300 pairs",
-    )
-    args = parser.parse_args(argv)
-    if args.fast:
-        args.per_label, args.samples, args.size_cap = 4, 48, 300
 
+
+SMOKE = {"per_label": 4, "samples": 48, "size_cap": 300}
+
+
+def scenario(args, drill):
     dataset = load_dataset(args.dataset, seed=args.seed, size_cap=args.size_cap)
     matcher = LogisticRegressionMatcher().fit(dataset)
     source = DatasetSource(dataset, per_label=args.per_label, seed=args.seed)
@@ -121,9 +117,6 @@ def main(argv=None):
     print(f"service: {service_seconds:.2f}s ({service_pps:.2f} pairs/s)")
     print(f"bulk:    {bulk_seconds:.2f}s ({bulk_pps:.2f} pairs/s) "
           f"in {report.n_chunks} chunks")
-    print(f"ratio: {ratio:.2f}x (required: {args.min_ratio}x)")
-
-    failures = []
 
     # Bit-identity: the bulk job's streaming summary must equal the fold
     # of the service path's payloads EXACTLY — both per-pair explanation
@@ -132,54 +125,33 @@ def main(argv=None):
     reference = GlobalSummary()
     for pair in pairs:
         reference.add_result_payload(service_results[pair.pair_id])
-    if reference.to_payload() != report.summary.to_payload():
-        failures.append(
-            "bulk streaming summary differs from the fold of service "
-            "payloads"
-        )
-    else:
-        print(
-            f"results: streaming summary over {len(pairs)} pairs "
-            f"bit-identical to the service-path fold"
-        )
+    drill.check(
+        reference.to_payload() == report.summary.to_payload(),
+        f"streaming summary over {len(pairs)} pairs bit-identical to the "
+        f"service-path fold",
+    )
+    drill.check(
+        not report.n_failed,
+        f"no pair failed in the bulk job ({report.n_failed} failed)",
+    )
+    drill.check(
+        ratio >= args.min_ratio,
+        f"bulk throughput {ratio:.2f}x >= {args.min_ratio}x the service path",
+    )
+    return {
+        "pairs": len(pairs),
+        "service_seconds": round(service_seconds, 4),
+        "bulk_seconds": round(bulk_seconds, 4),
+        "ratio": round(ratio, 3),
+        "bulk_stats": report.stats_payload(),
+    }
 
-    if report.n_failed:
-        failures.append(f"{report.n_failed} pairs failed in the bulk job")
-    if ratio < args.min_ratio:
-        failures.append(
-            f"bulk throughput {ratio:.2f}x below {args.min_ratio}x"
-        )
 
-    if args.output:
-        import json
-        from pathlib import Path
-
-        Path(args.output).write_text(
-            json.dumps(
-                {
-                    "workload": {
-                        "dataset": args.dataset,
-                        "pairs": len(pairs),
-                        "method": args.method,
-                        "samples": args.samples,
-                        "chunk_size": args.chunk_size,
-                    },
-                    "service_seconds": round(service_seconds, 4),
-                    "bulk_seconds": round(bulk_seconds, 4),
-                    "ratio": round(ratio, 3),
-                    "bulk_stats": report.stats_payload(),
-                },
-                indent=2,
-                sort_keys=True,
-            ),
-            encoding="utf-8",
-        )
-        print(f"wrote {args.output}")
-
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    print("bench_bulk", "FAILED" if failures else "passed")
-    return 1 if failures else 0
+def main(argv=None):
+    return run_bench(
+        "bench_bulk", __doc__.splitlines()[0], add_arguments, SMOKE,
+        scenario, argv=argv,
+    )
 
 
 if __name__ == "__main__":

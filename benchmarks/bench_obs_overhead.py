@@ -17,14 +17,14 @@ assertions gate the exit code:
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_obs_overhead.py --fast
+    PYTHONPATH=src python benchmarks/bench_obs_overhead.py --smoke
 
-``--fast`` is the CI smoke configuration (~30 s on one CPU).
+``--smoke`` is the CI configuration (~30 s on one CPU);
+``--artifacts-dir DIR`` keeps ``bench_obs_overhead.json``.
 """
 
 from __future__ import annotations
 
-import argparse
 import statistics
 import sys
 import time
@@ -40,6 +40,7 @@ from repro.explainers.lime_text import LimeConfig
 from repro.matchers.logistic import LogisticRegressionMatcher
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import trace
+from repro.testing.drill import run_bench
 
 
 def run_workload(matcher, sample, samples, seed, *, metrics_on, tracing_on):
@@ -74,26 +75,22 @@ def run_workload(matcher, sample, samples, seed, *, metrics_on, tracing_on):
     return np.concatenate(weights), seconds, n_spans
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def add_arguments(parser):
     parser.add_argument("--dataset", default="S-BR")
     parser.add_argument("--per-label", type=int, default=4)
     parser.add_argument("--samples", type=int, default=96)
     parser.add_argument("--size-cap", type=int, default=500)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument(
         "--max-overhead", type=float, default=0.03,
         help="allowed metrics-on slowdown vs off, as a fraction (exit 1 above)",
     )
-    parser.add_argument(
-        "--fast", action="store_true",
-        help="CI smoke scale: 2 records per label, 48 samples, 3 repeats",
-    )
-    args = parser.parse_args(argv)
-    if args.fast:
-        args.per_label, args.samples, args.repeats = 2, 48, 3
 
+
+SMOKE = {"per_label": 2, "samples": 48, "repeats": 3}
+
+
+def scenario(args, drill):
     dataset = load_dataset(args.dataset, seed=args.seed, size_cap=args.size_cap)
     matcher = LogisticRegressionMatcher().fit(dataset)
     sample = sample_per_label(dataset, args.per_label, seed=args.seed)
@@ -110,7 +107,7 @@ def main(argv=None):
     }
     timings = {name: [] for name in configs}
     reference = {}
-    failures = []
+    drifted = set()
     for round_index in range(args.repeats):
         # Interleave configurations each round so drift (thermal, cache
         # warm-up) hits all three evenly instead of biasing one.
@@ -122,16 +119,21 @@ def main(argv=None):
             if name not in reference:
                 reference[name] = weights
             elif not np.array_equal(reference[name], weights):
-                failures.append(f"{name}: weights drift between repeats")
+                drifted.add(name)
             if name == "full" and round_index == 0:
                 print(f"tracing captured {n_spans} root spans per pass")
 
     baseline = reference["off"]
+    drill.check(
+        not drifted,
+        f"weights stable across repeats (drifted: {sorted(drifted)})",
+    )
     for name in ("metrics", "full"):
-        if not np.array_equal(baseline, reference[name]):
-            failures.append(f"{name}: weights differ from the off baseline")
-    if not failures:
-        print(f"weights: {baseline.size} values bit-identical in all configs")
+        drill.check(
+            np.array_equal(baseline, reference[name]),
+            f"{name}: {baseline.size} weights bit-identical to the off "
+            f"baseline",
+        )
 
     medians = {n: statistics.median(t) for n, t in timings.items()}
     for name in configs:
@@ -142,21 +144,25 @@ def main(argv=None):
         )
     gated = medians["metrics"] / medians["off"] - 1.0
     delta = medians["metrics"] - medians["off"]
-    print(
-        f"metrics overhead: {gated:+.1%} "
-        f"(allowed: +{args.max_overhead:.0%})"
-    )
     # On sub-second workloads the ratio is dominated by timer noise; only
     # fail when the absolute cost is measurable too.
-    if gated > args.max_overhead and delta > 0.010:
-        failures.append(
-            f"metrics overhead {gated:+.1%} above +{args.max_overhead:.0%}"
-        )
+    drill.check(
+        gated <= args.max_overhead or delta <= 0.010,
+        f"metrics overhead {gated:+.1%} ({delta * 1000:+.1f} ms) within "
+        f"+{args.max_overhead:.0%} or 10 ms",
+    )
+    return {
+        "median_seconds": medians,
+        "metrics_overhead": gated,
+        "metrics_overhead_seconds": delta,
+    }
 
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    print("bench_obs_overhead", "FAILED" if failures else "passed")
-    return 1 if failures else 0
+
+def main(argv=None):
+    return run_bench(
+        "bench_obs_overhead", __doc__.splitlines()[0], add_arguments, SMOKE,
+        scenario, argv=argv,
+    )
 
 
 if __name__ == "__main__":

@@ -12,14 +12,14 @@ exit code:
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_prediction_engine.py --fast
+    PYTHONPATH=src python benchmarks/bench_prediction_engine.py --smoke
 
-``--fast`` is the CI smoke configuration (~30 s on one CPU).
+``--smoke`` is the CI configuration (~30 s on one CPU);
+``--artifacts-dir DIR`` keeps ``bench_prediction_engine.json``.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 
@@ -34,6 +34,7 @@ from repro.evaluation.token_eval import token_removal_eval
 from repro.exceptions import ExplanationError
 from repro.explainers.lime_text import LimeConfig
 from repro.matchers.logistic import LogisticRegressionMatcher
+from repro.testing.drill import run_bench
 
 
 class CountingMatcher:
@@ -105,26 +106,22 @@ def run_workload(matcher, sample, samples, seed, engine_config, threshold=0.5):
     return weights, engine, time.perf_counter() - started
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def add_arguments(parser):
     parser.add_argument("--dataset", default="S-BR")
     parser.add_argument("--per-label", type=int, default=6)
     parser.add_argument("--samples", type=int, default=96)
     parser.add_argument("--size-cap", type=int, default=500)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--n-jobs", type=int, default=1)
     parser.add_argument(
         "--min-savings", type=float, default=1.5,
         help="required requested/issued ratio (exit 1 below it)",
     )
-    parser.add_argument(
-        "--fast", action="store_true",
-        help="CI smoke scale: 3 records per label, 48 samples, 300 pairs",
-    )
-    args = parser.parse_args(argv)
-    if args.fast:
-        args.per_label, args.samples, args.size_cap = 3, 48, 300
 
+
+SMOKE = {"per_label": 3, "samples": 48, "size_cap": 300}
+
+
+def scenario(args, drill):
     dataset = load_dataset(args.dataset, seed=args.seed, size_cap=args.size_cap)
     matcher = LogisticRegressionMatcher().fit(dataset)
     sample = sample_per_label(dataset, args.per_label, seed=args.seed)
@@ -148,31 +145,44 @@ def main(argv=None):
     print(f"engine on:  {on_matcher.rows_scored} matcher calls, {on_seconds:.1f}s")
     print(f"engine on:  {stats.summary()}")
 
-    failures = []
-    if on_weights.keys() != off_weights.keys():
-        failures.append("explanation cells differ between runs")
-    else:
-        mismatched = [k for k in off_weights if off_weights[k] != on_weights[k]]
-        if mismatched:
-            failures.append(f"{len(mismatched)} cells with unequal weights")
-        else:
-            print(f"weights: all {len(off_weights)} cells exactly equal")
-    if stats.requested != off_matcher.rows_scored:
-        failures.append(
-            f"request accounting mismatch: engine saw {stats.requested}, "
-            f"transparent run issued {off_matcher.rows_scored}"
+    if drill.check(
+        on_weights.keys() == off_weights.keys(),
+        f"both runs explain the same {len(off_weights)} cells",
+    ):
+        mismatched = sum(off_weights[k] != on_weights[k] for k in off_weights)
+        drill.check(
+            not mismatched,
+            f"weights exactly equal in all cells ({mismatched} differ)",
         )
-    if stats.calls_issued + stats.calls_saved != stats.requested:
-        failures.append("counter identity violated")
+    drill.check(
+        stats.requested == off_matcher.rows_scored,
+        f"request accounting: engine saw {stats.requested}, "
+        f"transparent run issued {off_matcher.rows_scored}",
+    )
+    drill.check(
+        stats.calls_issued + stats.calls_saved == stats.requested,
+        "counter identity: issued + saved == requested",
+    )
     ratio = stats.savings_factor
-    print(f"savings: {ratio:.2f}x fewer matcher calls (required: {args.min_savings}x)")
-    if ratio < args.min_savings:
-        failures.append(f"savings {ratio:.2f}x below {args.min_savings}x")
+    drill.check(
+        ratio >= args.min_savings,
+        f"savings {ratio:.2f}x fewer matcher calls >= {args.min_savings}x",
+    )
+    return {
+        "cells": len(off_weights),
+        "engine_off_calls": off_matcher.rows_scored,
+        "engine_on_calls": on_matcher.rows_scored,
+        "engine_off_seconds": round(off_seconds, 4),
+        "engine_on_seconds": round(on_seconds, 4),
+        "savings_factor": round(ratio, 3),
+    }
 
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    print("bench_prediction_engine", "FAILED" if failures else "passed")
-    return 1 if failures else 0
+
+def main(argv=None):
+    return run_bench(
+        "bench_prediction_engine", __doc__.splitlines()[0], add_arguments,
+        SMOKE, scenario, argv=argv,
+    )
 
 
 if __name__ == "__main__":

@@ -25,18 +25,16 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_remote_backend.py --smoke
 
 ``--smoke`` is the CI configuration (~1-2 min): 6 records per matcher,
-32 samples, 300-pair dataset.
+32 samples, 300-pair dataset.  ``--artifacts-dir DIR`` keeps the parity
+and timings as ``bench_remote_backend.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -51,6 +49,7 @@ from repro.matchers.embedding import EmbeddingMatcher
 from repro.matchers.logistic import LogisticRegressionMatcher
 from repro.matchers.neural import MLPMatcher
 from repro.matchers.rules import RuleBasedMatcher
+from repro.testing.drill import run_bench
 
 MATCHERS = {
     "logistic": LogisticRegressionMatcher,
@@ -118,9 +117,9 @@ def measure_throughput(matcher, pairs, rounds, chunk, callers, config):
         backend = RemoteBackend(server.address, config=config)
         try:
             # Connect and verify parity outside the timed region.
-            assert np.array_equal(
+            identical = np.array_equal(
                 backend.predict_proba(batch), matcher.predict_proba(batch)
-            ), "throughput batches diverged"
+            )
             remote_seconds = _drive(
                 backend.predict_proba, batch, rounds, callers
             )
@@ -131,6 +130,7 @@ def measure_throughput(matcher, pairs, rounds, chunk, callers, config):
     return {
         "rows": rows,
         "callers": callers,
+        "batches_identical": identical,
         "in_flight_batches": min(in_flight, config.max_in_flight),
         "local_rows_per_s": rows / local_seconds,
         "remote_rows_per_s": rows / remote_seconds,
@@ -138,14 +138,12 @@ def measure_throughput(matcher, pairs, rounds, chunk, callers, config):
     }
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def add_arguments(parser):
     parser.add_argument("--dataset", default="S-BR")
     parser.add_argument("--records", type=int, default=12,
                         help="records explained per matcher type")
     parser.add_argument("--samples", type=int, default=64)
     parser.add_argument("--size-cap", type=int, default=500)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--rounds", type=int, default=40,
                         help="prediction rounds per caller thread")
     parser.add_argument("--chunk", type=int, default=64,
@@ -157,24 +155,18 @@ def main(argv=None):
         help="required remote/in-process throughput ratio (exit 1 below "
              "it; only gated on machines with >= 2 CPU cores)",
     )
-    parser.add_argument("--output", default=None,
-                        help="write the run JSON (parity + timings) here")
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="CI scale: 6 records, 32 samples, 300 pairs, 20 rounds",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        args.records, args.samples = 6, 32
-        args.size_cap, args.rounds = 300, 20
 
+
+SMOKE = {"records": 6, "samples": 32, "size_cap": 300, "rounds": 20}
+
+
+def scenario(args, drill):
     config = RemoteBackendConfig(
         connect_timeout=10.0, call_timeout=120.0, max_retries=1,
         backoff=0.01, backoff_max=0.1,
     )
     dataset = load_dataset(args.dataset, seed=args.seed, size_cap=args.size_cap)
     pairs = list(dataset)[: args.records]
-    failures = []
     parity = {}
     print(
         f"workload: {args.dataset}, {len(pairs)} records x "
@@ -186,12 +178,11 @@ def main(argv=None):
             name, matcher, pairs, args.samples, args.seed, config
         )
         parity[name] = {"records": len(pairs), "mismatched": mismatched}
-        verdict = "bit-identical" if not mismatched else f"{mismatched} DIFFER"
-        print(f"parity[{name}]: {len(pairs)} explanations {verdict}")
-        if mismatched:
-            failures.append(
-                f"{name}: {mismatched} remote explanations differ"
-            )
+        drill.check(
+            not mismatched,
+            f"parity[{name}]: {len(pairs)} remote explanations bit-identical "
+            f"({mismatched} differ)",
+        )
 
     cores = os.cpu_count() or 1
     gated = cores >= 2
@@ -205,53 +196,42 @@ def main(argv=None):
         f"throughput: in-process {throughput['local_rows_per_s']:.0f} rows/s, "
         f"remote {throughput['remote_rows_per_s']:.0f} rows/s "
         f"({throughput['in_flight_batches']} batches in flight, "
-        f"{args.callers} callers) -> ratio {throughput['ratio']:.2f}x "
-        f"(required: {args.min_ratio}x, "
-        f"{'gated' if gated else 'report-only on %d core(s)' % cores})"
+        f"{args.callers} callers)"
     )
-    if throughput["in_flight_batches"] < 2:
-        failures.append("throughput workload kept < 2 batches in flight")
-    if gated and throughput["ratio"] < args.min_ratio:
-        failures.append(
-            f"remote throughput {throughput['ratio']:.2f}x below "
-            f"{args.min_ratio}x of in-process on a {cores}-core machine"
-        )
+    drill.check(
+        throughput["batches_identical"],
+        "throughput batch scores equal in-process and remote",
+    )
+    drill.check(
+        throughput["in_flight_batches"] >= 2,
+        f"throughput workload kept {throughput['in_flight_batches']} "
+        f"(>= 2) batches in flight",
+    )
+    verdict = (
+        f"remote throughput {throughput['ratio']:.2f}x of in-process, "
+        f"required {args.min_ratio}x"
+    )
+    if gated:
+        drill.check(throughput["ratio"] >= args.min_ratio,
+                    f"{verdict} on a {cores}-core machine")
+    else:
+        print(f"  [report-only on {cores} core(s)] {verdict}")
+    return {
+        "cpu_cores": cores,
+        "ratio_gated": gated,
+        "parity": parity,
+        "throughput": {
+            key: round(value, 3) if isinstance(value, float) else value
+            for key, value in throughput.items()
+        },
+    }
 
-    if args.output:
-        output = Path(args.output)
-        output.parent.mkdir(parents=True, exist_ok=True)
-        output.write_text(
-            json.dumps(
-                {
-                    "workload": {
-                        "dataset": args.dataset,
-                        "records": len(pairs),
-                        "samples": args.samples,
-                        "rounds": args.rounds,
-                        "chunk": args.chunk,
-                        "callers": args.callers,
-                        "min_ratio": args.min_ratio,
-                        "cpu_cores": cores,
-                        "ratio_gated": gated,
-                    },
-                    "parity": parity,
-                    "throughput": {
-                        key: round(value, 3) if isinstance(value, float)
-                        else value
-                        for key, value in throughput.items()
-                    },
-                },
-                indent=2,
-                sort_keys=True,
-            ),
-            encoding="utf-8",
-        )
-        print(f"wrote {args.output}")
 
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    print("bench_remote_backend", "FAILED" if failures else "passed")
-    return 1 if failures else 0
+def main(argv=None):
+    return run_bench(
+        "bench_remote_backend", __doc__.splitlines()[0], add_arguments,
+        SMOKE, scenario, argv=argv,
+    )
 
 
 if __name__ == "__main__":

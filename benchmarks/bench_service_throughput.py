@@ -17,20 +17,20 @@ Two assertions gate the exit code:
   baseline throughput.
 
 The service/store/engine counters (hits, coalesced, latency) are printed
-and, with ``--output``, written as run JSON.
+and, with ``--artifacts-dir DIR``, kept in ``bench_service_throughput.json``.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_service_throughput.py --fast
+    PYTHONPATH=src python benchmarks/bench_service_throughput.py --smoke
 
-``--fast`` is the CI smoke configuration (~30 s on one CPU).
+``--smoke`` is the CI configuration (~30 s on one CPU).
 """
 
 from __future__ import annotations
 
-import argparse
 import random
 import sys
+import tempfile
 import time
 
 from repro.config import ServiceConfig
@@ -44,6 +44,7 @@ from repro.matchers.logistic import LogisticRegressionMatcher
 from repro.service.request import ExplainRequest
 from repro.service.service import ExplanationService
 from repro.service.store import ExplanationStore
+from repro.testing.drill import run_bench
 
 
 def build_mix(pairs, repeats: int, seed: int):
@@ -96,15 +97,13 @@ def run_service(matcher, mix, method, samples, seed, store_dir, workers):
     return payloads, seconds, stats
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def add_arguments(parser):
     parser.add_argument("--dataset", default="S-BR")
     parser.add_argument("--per-label", type=int, default=5)
     parser.add_argument("--repeats", type=int, default=6,
                         help="times each hot record is requested")
     parser.add_argument("--samples", type=int, default=96)
     parser.add_argument("--size-cap", type=int, default=500)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--method", default="both",
                         choices=("single", "double", "both"))
     parser.add_argument("--workers", type=int, default=4)
@@ -112,18 +111,12 @@ def main(argv=None):
         "--min-speedup", type=float, default=3.0,
         help="required service/baseline throughput ratio (exit 1 below it)",
     )
-    parser.add_argument("--output", default=None,
-                        help="write the run JSON (timings + counters) here")
-    parser.add_argument(
-        "--fast", action="store_true",
-        help="CI smoke scale: 3 records per label, 48 samples, 300 pairs",
-    )
-    args = parser.parse_args(argv)
-    if args.fast:
-        args.per_label, args.samples, args.size_cap = 3, 48, 300
 
-    import tempfile
 
+SMOKE = {"per_label": 3, "samples": 48, "size_cap": 300}
+
+
+def scenario(args, drill):
     dataset = load_dataset(args.dataset, seed=args.seed, size_cap=args.size_cap)
     matcher = LogisticRegressionMatcher().fit(dataset)
     hot = sample_per_label(dataset, args.per_label, seed=args.seed).pairs
@@ -158,64 +151,46 @@ def main(argv=None):
         f"latency mean {service_stats['latency_mean']:.3f}s "
         f"max {service_stats['latency_max']:.3f}s"
     )
-    print(f"speedup: {speedup:.2f}x (required: {args.min_speedup}x)")
 
-    failures = []
     mismatched = sum(
         payload["duals"] != baseline[payload["pair_id"]]
         for payload in payloads
     )
-    if mismatched:
-        failures.append(f"{mismatched} service results differ from baseline")
-    else:
-        print(f"results: all {len(payloads)} bit-identical to the baseline")
+    drill.check(
+        not mismatched,
+        f"all {len(payloads)} service results bit-identical to the baseline "
+        f"({mismatched} differ)",
+    )
     computed = service_stats["computed"]
-    if computed != len(hot):
-        failures.append(
-            f"expected {len(hot)} computations (one per hot record), "
-            f"got {computed}"
-        )
+    drill.check(
+        computed == len(hot),
+        f"one computation per hot record: {computed} of {len(hot)} expected",
+    )
     served_cheap = service_stats["store_hits"] + service_stats["coalesced"]
-    if served_cheap != len(mix) - len(hot):
-        failures.append(
-            f"expected {len(mix) - len(hot)} store hits + coalesces, "
-            f"got {served_cheap}"
-        )
-    if speedup < args.min_speedup:
-        failures.append(f"speedup {speedup:.2f}x below {args.min_speedup}x")
+    drill.check(
+        served_cheap == len(mix) - len(hot),
+        f"the rest served by store hits + coalesces: {served_cheap} of "
+        f"{len(mix) - len(hot)} expected",
+    )
+    drill.check(
+        speedup >= args.min_speedup,
+        f"speedup {speedup:.2f}x >= {args.min_speedup}x",
+    )
+    return {
+        "hot_records": len(hot),
+        "requests": len(mix),
+        "baseline_seconds": round(baseline_seconds, 4),
+        "service_seconds": round(service_seconds, 4),
+        "speedup": round(speedup, 3),
+        "stats": stats,
+    }
 
-    if args.output:
-        import json
-        from pathlib import Path
 
-        Path(args.output).write_text(
-            json.dumps(
-                {
-                    "workload": {
-                        "dataset": args.dataset,
-                        "hot_records": len(hot),
-                        "repeats": args.repeats,
-                        "requests": len(mix),
-                        "method": args.method,
-                        "samples": args.samples,
-                        "workers": args.workers,
-                    },
-                    "baseline_seconds": round(baseline_seconds, 4),
-                    "service_seconds": round(service_seconds, 4),
-                    "speedup": round(speedup, 3),
-                    "stats": stats,
-                },
-                indent=2,
-                sort_keys=True,
-            ),
-            encoding="utf-8",
-        )
-        print(f"wrote {args.output}")
-
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    print("bench_service_throughput", "FAILED" if failures else "passed")
-    return 1 if failures else 0
+def main(argv=None):
+    return run_bench(
+        "bench_service_throughput", __doc__.splitlines()[0], add_arguments,
+        SMOKE, scenario, argv=argv,
+    )
 
 
 if __name__ == "__main__":

@@ -11,8 +11,10 @@ can.  Two assertions gate the exit code:
 
 * every N-shard result is **bit-identical** to the 1-shard result for
   the same record (process placement never changes a bit);
-* with at least ``--shards`` CPU cores available, N shards sustain at
-  least ``--min-speedup`` (default 2.5×) the 1-shard throughput.
+* with at least ``--shards`` CPU cores available, N shards keep the
+  parallel efficiency (speed-up ÷ shards) that ``--min-speedup``
+  (default 2.5×) sets at 4 shards: at least 0.625, so 2.5× at 4 shards
+  and 1.25× at 2.
 
 On machines with fewer cores than shards (e.g. a 1-CPU container) the
 speedup is *reported* but not gated — there is nothing to scale onto —
@@ -22,7 +24,7 @@ so the benchmark still exercises the full sharded path everywhere.
 the cross-host fleet path — real ``serve-shard`` host processes on
 localhost, dialed over TCP — asserts its results are bit-identical to
 both pipe runs, and reports the TCP transport overhead (fleet seconds
-vs pipe seconds) in the run JSON.
+vs pipe seconds) in ``bench_shards.json`` under ``--artifacts-dir DIR``.
 
 Usage::
 
@@ -33,19 +35,21 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 import time
-from pathlib import Path
 
 from repro.config import ServiceConfig, ShardConfig
 from repro.data.synthetic.magellan import load_dataset
 from repro.matchers.logistic import LogisticRegressionMatcher
 from repro.service import ExplainRequest, ShardedService
 from repro.service.transport import parse_fleet_config
-from repro.testing.drill import fleet_document, spawn_shard_hosts
+from repro.testing.drill import fleet_document, run_bench, spawn_shard_hosts
+
+#: Shard count ``--min-speedup`` is stated at.  Any other ``--shards``
+#: must reach the same parallel efficiency (speed-up / shards), so two
+#: shards are never asked for more than linear scaling.
+GATE_SHARDS = 4
 
 
 def run_fleet(matcher, requests, n_shards: int, workers: int,
@@ -77,24 +81,24 @@ def run_fleet(matcher, requests, n_shards: int, workers: int,
     return payloads, seconds, stats
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def add_arguments(parser):
     parser.add_argument("--dataset", default="S-BR")
     parser.add_argument("--requests", type=int, default=48,
                         help="distinct records to explain")
     parser.add_argument("--samples", type=int, default=96)
     parser.add_argument("--size-cap", type=int, default=500)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--method", default="single",
                         choices=("single", "double", "both"))
-    parser.add_argument("--shards", type=int, default=4,
+    parser.add_argument("--shards", type=int, default=GATE_SHARDS,
                         help="shard count to compare against 1 shard")
     parser.add_argument("--workers", type=int, default=2,
                         help="worker threads inside every shard")
     parser.add_argument(
         "--min-speedup", type=float, default=2.5,
-        help="required N-shard/1-shard throughput ratio (exit 1 below "
-             "it; only gated when the machine has >= --shards cores)",
+        help=f"required {GATE_SHARDS}-shard/1-shard throughput ratio; other "
+             f"--shards need the same parallel efficiency (speed-up / "
+             f"shards >= min-speedup / {GATE_SHARDS}); exit 1 below it, "
+             f"only gated when the machine has >= --shards cores",
     )
     parser.add_argument(
         "--transport", choices=("pipe", "tcp"), default="pipe",
@@ -102,16 +106,12 @@ def main(argv=None):
              "hosts over TCP, assert bit-identity and report the "
              "transport overhead",
     )
-    parser.add_argument("--output", default=None,
-                        help="write the run JSON (timings + stats) here")
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="CI scale: 24 requests, 48 samples, 300 pairs",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        args.requests, args.samples, args.size_cap = 24, 48, 300
 
+
+SMOKE = {"requests": 24, "samples": 48, "size_cap": 300}
+
+
+def scenario(args, drill):
     cores = os.cpu_count() or 1
     gated = cores >= args.shards
     dataset = load_dataset(args.dataset, seed=args.seed, size_cap=args.size_cap)
@@ -148,22 +148,28 @@ def main(argv=None):
         for shard_id, stats in sorted(fleet_stats["shards"].items())
     }
     print(f"distribution across shards: {per_shard}")
-    print(f"speedup: {speedup:.2f}x (required: {args.min_speedup}x, "
-          f"{'gated' if gated else 'report-only'})")
 
-    failures = []
     mismatched = sum(a != b for a, b in zip(single, fleet))
-    if mismatched:
-        failures.append(f"{mismatched} sharded results differ from 1-shard")
+    drill.check(
+        not mismatched,
+        f"all {len(fleet)} results bit-identical across shard counts "
+        f"({mismatched} differ)",
+    )
+    drill.check(
+        min(per_shard.values() or [0]) > 0,
+        f"every shard served requests: {per_shard}",
+    )
+    efficiency = speedup / args.shards
+    min_efficiency = args.min_speedup / GATE_SHARDS
+    verdict = (
+        f"parallel efficiency {efficiency:.3f} (speedup {speedup:.2f}x over "
+        f"{args.shards} shards), required {min_efficiency:.3f} "
+        f"({args.min_speedup}x at {GATE_SHARDS} shards)"
+    )
+    if gated:
+        drill.check(efficiency >= min_efficiency, verdict)
     else:
-        print(f"results: all {len(fleet)} bit-identical across shard counts")
-    if min(per_shard.values() or [0]) == 0:
-        failures.append(f"a shard served nothing: {per_shard}")
-    if gated and speedup < args.min_speedup:
-        failures.append(
-            f"speedup {speedup:.2f}x below {args.min_speedup}x "
-            f"on a {cores}-core machine"
-        )
+        print(f"  [report-only on {cores} core(s)] {verdict}")
 
     tcp_seconds = None
     tcp_overhead = None
@@ -178,57 +184,34 @@ def main(argv=None):
             f"{tcp_overhead:+.1%} vs pipe)"
         )
         tcp_mismatched = sum(a != b for a, b in zip(fleet, tcp_fleet))
-        if tcp_mismatched:
-            failures.append(
-                f"{tcp_mismatched} TCP-fleet results differ from pipe"
-            )
-        else:
-            print(
-                f"results: all {len(tcp_fleet)} bit-identical across "
-                f"transports"
-            )
-
-    if args.output:
-        output = Path(args.output)
-        output.parent.mkdir(parents=True, exist_ok=True)
-        output.write_text(
-            json.dumps(
-                {
-                    "workload": {
-                        "dataset": args.dataset,
-                        "requests": len(requests),
-                        "method": args.method,
-                        "samples": args.samples,
-                        "shards": args.shards,
-                        "workers_per_shard": args.workers,
-                        "cpu_cores": cores,
-                        "speedup_gated": gated,
-                    },
-                    "single_shard_seconds": round(single_seconds, 4),
-                    "fleet_seconds": round(fleet_seconds, 4),
-                    "speedup": round(speedup, 3),
-                    "per_shard_requests": per_shard,
-                    "fleet_stats": fleet_stats,
-                    "transport": args.transport,
-                    "tcp_fleet_seconds": (
-                        None if tcp_seconds is None else round(tcp_seconds, 4)
-                    ),
-                    "tcp_transport_overhead": (
-                        None if tcp_overhead is None
-                        else round(tcp_overhead, 4)
-                    ),
-                },
-                indent=2,
-                sort_keys=True,
-            ),
-            encoding="utf-8",
+        drill.check(
+            not tcp_mismatched,
+            f"all {len(tcp_fleet)} TCP-fleet results bit-identical to pipe "
+            f"({tcp_mismatched} differ)",
         )
-        print(f"wrote {args.output}")
+    return {
+        "cpu_cores": cores,
+        "speedup_gated": gated,
+        "single_shard_seconds": round(single_seconds, 4),
+        "fleet_seconds": round(fleet_seconds, 4),
+        "speedup": round(speedup, 3),
+        "parallel_efficiency": round(efficiency, 4),
+        "per_shard_requests": per_shard,
+        "fleet_stats": fleet_stats,
+        "tcp_fleet_seconds": (
+            None if tcp_seconds is None else round(tcp_seconds, 4)
+        ),
+        "tcp_transport_overhead": (
+            None if tcp_overhead is None else round(tcp_overhead, 4)
+        ),
+    }
 
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    print("bench_shards", "FAILED" if failures else "passed")
-    return 1 if failures else 0
+
+def main(argv=None):
+    return run_bench(
+        "bench_shards", __doc__.splitlines()[0], add_arguments, SMOKE,
+        scenario, argv=argv,
+    )
 
 
 if __name__ == "__main__":

@@ -22,14 +22,15 @@ Two assertions gate the exit code:
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_shedding.py --fast
+    PYTHONPATH=src python benchmarks/bench_shedding.py --smoke
 
-``--fast`` is the CI smoke configuration (~20 s on one CPU).
+``--smoke`` is the CI configuration (~20 s on one CPU);
+``--artifacts-dir DIR`` keeps the timings and counters as
+``bench_shedding.json``.
 """
 
 from __future__ import annotations
 
-import argparse
 import statistics
 import sys
 import time
@@ -41,6 +42,7 @@ from repro.matchers.logistic import LogisticRegressionMatcher
 from repro.service.request import ExplainRequest
 from repro.service.service import ExplanationService
 from repro.testing.chaos import overload_burst
+from repro.testing.drill import run_bench
 
 #: Burst size as a multiple of the worker capacity.
 OVERLOAD_FACTOR = 4
@@ -60,12 +62,10 @@ def timed_explain(service, pair, samples, seed):
     return time.perf_counter() - started, payload
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def add_arguments(parser):
     parser.add_argument("--dataset", default="S-BR")
     parser.add_argument("--size-cap", type=int, default=500)
     parser.add_argument("--samples", type=int, default=512)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--workers", type=int, default=1,
         help="worker threads (default 1: meaningful on a 1-core runner)",
@@ -82,27 +82,23 @@ def main(argv=None):
         "--max-p50-ratio", type=float, default=1.5,
         help="required admitted-p50 / unloaded-p50 bound (exit 1 above it)",
     )
-    parser.add_argument("--output", default=None,
-                        help="write the run JSON (timings + counters) here")
-    parser.add_argument(
-        "--fast", action="store_true",
-        help="CI smoke scale: 300 pairs, 6 baseline requests",
-    )
-    args = parser.parse_args(argv)
-    if args.fast:
-        args.size_cap, args.unloaded_requests = 300, 6
 
+
+SMOKE = {"size_cap": 300, "unloaded_requests": 6}
+
+
+def scenario(args, drill):
     dataset = load_dataset(args.dataset, seed=args.seed, size_cap=args.size_cap)
     matcher = LogisticRegressionMatcher().fit(dataset)
-    burst_size = args.burst or max(8, OVERLOAD_FACTOR * args.workers)
-    needed = args.unloaded_requests + WARMUP_REQUESTS + burst_size
+    args.burst = args.burst or max(8, OVERLOAD_FACTOR * args.workers)
+    needed = args.unloaded_requests + WARMUP_REQUESTS + args.burst
     if len(dataset) < needed:
         raise SystemExit(
             f"dataset too small: {len(dataset)} pairs < {needed} needed"
         )
     print(
         f"workload: {args.dataset} ({len(dataset)} pairs), "
-        f"{args.workers} worker(s), burst {burst_size} requests, "
+        f"{args.workers} worker(s), burst {args.burst} requests, "
         f"{args.samples} perturbation samples"
     )
 
@@ -142,7 +138,7 @@ def main(argv=None):
             service, dataset[offset + slot], args.samples, args.seed
         )
 
-    outcomes = overload_burst(burst_call, burst_size)
+    outcomes = overload_burst(burst_call, args.burst)
     stats = service.stats
     service.close()
 
@@ -158,68 +154,50 @@ def main(argv=None):
     )
     ratio = admitted_p50 / unloaded_p50 if unloaded_p50 else float("inf")
     print(
-        f"burst: {len(admitted)} admitted (p50 {admitted_p50:.3f}s, "
-        f"{ratio:.2f}x unloaded), {len(shed)} shed, {len(other)} other"
+        f"burst: {len(admitted)} admitted (p50 {admitted_p50:.3f}s), "
+        f"{len(shed)} shed, {len(other)} other"
     )
 
-    failures = []
-    if not admitted:
-        failures.append("no burst request was admitted")
-    if not shed:
-        failures.append("overload burst shed nothing")
-    if other:
-        failures.append(
-            f"{len(other)} burst requests failed with "
-            f"{[type(o).__name__ for o in other]}"
-        )
-    bad_codes = [e for e in shed if e.code != "overloaded"]
-    if bad_codes:
-        failures.append(f"{len(bad_codes)} sheds missing code=overloaded")
-    bad_retry = [e for e in shed if not e.retry_after > 0]
-    if bad_retry:
-        failures.append(f"{len(bad_retry)} sheds missing a retry_after hint")
-    if stats.shed != len(shed):
-        failures.append(
-            f"shed counter {stats.shed} != observed sheds {len(shed)}"
-        )
-    if ratio > args.max_p50_ratio:
-        failures.append(
-            f"admitted p50 is {ratio:.2f}x unloaded "
-            f"(bound: {args.max_p50_ratio}x)"
-        )
+    drill.check(bool(admitted), "some burst requests were admitted")
+    drill.check(bool(shed), "the overload burst shed requests")
+    drill.check(
+        not other,
+        f"no burst request failed otherwise: "
+        f"{[type(o).__name__ for o in other]}",
+    )
+    bad_codes = sum(e.code != "overloaded" for e in shed)
+    drill.check(
+        not bad_codes, f"every shed carries code=overloaded ({bad_codes} not)"
+    )
+    bad_retry = sum(not e.retry_after > 0 for e in shed)
+    drill.check(
+        not bad_retry,
+        f"every shed carries a retry_after hint ({bad_retry} not)",
+    )
+    drill.check(
+        stats.shed == len(shed),
+        f"shed counter {stats.shed} == observed sheds {len(shed)}",
+    )
+    drill.check(
+        ratio <= args.max_p50_ratio,
+        f"admitted p50 {ratio:.2f}x unloaded <= {args.max_p50_ratio}x",
+    )
+    return {
+        "max_queue_wait": round(max_queue_wait, 4),
+        "unloaded_p50_seconds": round(unloaded_p50, 4),
+        "admitted_p50_seconds": round(admitted_p50, 4),
+        "p50_ratio": round(ratio, 3),
+        "admitted": len(admitted),
+        "shed": len(shed),
+        "stats": stats.as_dict(),
+    }
 
-    if args.output:
-        import json
-        from pathlib import Path
 
-        Path(args.output).write_text(
-            json.dumps(
-                {
-                    "workload": {
-                        "dataset": args.dataset,
-                        "workers": args.workers,
-                        "burst_size": burst_size,
-                        "samples": args.samples,
-                        "max_queue_wait": round(max_queue_wait, 4),
-                    },
-                    "unloaded_p50_seconds": round(unloaded_p50, 4),
-                    "admitted_p50_seconds": round(admitted_p50, 4),
-                    "p50_ratio": round(ratio, 3),
-                    "admitted": len(admitted),
-                    "shed": len(shed),
-                    "stats": stats.as_dict(),
-                },
-                indent=2,
-                sort_keys=True,
-            ),
-            encoding="utf-8",
-        )
-        print(f"wrote {args.output}")
-
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    print("bench_shedding", "FAILED" if failures else "passed")
-    return 1 if failures else 0
+def main(argv=None):
+    return run_bench(
+        "bench_shedding", __doc__.splitlines()[0], add_arguments, SMOKE,
+        scenario, argv=argv,
+    )
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ code on three assertions:
 
 The workload is a synthetic wide textual schema (10 attributes × 8-word
 values by default) — the shape the paper's long-attribute datasets put on
-the hot path.  ``--json PATH`` writes the measurements as an artifact.
+the hot path.
 
 Usage::
 
@@ -24,12 +24,11 @@ Usage::
 
 ``--smoke`` is the CI configuration (~30 s on one CPU); its speedup floor
 is relaxed to 2× because shared CI runners time noisily.
+``--artifacts-dir DIR`` keeps the measurements as ``bench_vectorized.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
 
@@ -45,6 +44,7 @@ from repro.explainers.lime_text import LimeConfig
 from repro.matchers.logistic import LogisticRegressionMatcher
 from repro.service.request import ExplainRequest
 from repro.service.service import ExplanationService, duals_from_result
+from repro.testing.drill import run_bench
 
 
 def build_workload(
@@ -183,32 +183,25 @@ def run_service_check(dataset, n_requests, samples, seed):
     return mismatched, merges
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def add_arguments(parser):
     parser.add_argument("--n-attrs", type=int, default=10)
     parser.add_argument("--n-tokens", type=int, default=8)
     parser.add_argument("--n-pairs", type=int, default=80)
     parser.add_argument("--n-records", type=int, default=4)
     parser.add_argument("--samples", type=int, default=256)
-    parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--service-requests", type=int, default=6)
     parser.add_argument(
         "--min-speedup", type=float, default=None,
         help="required per-record speedup (default 5.0, smoke 2.0)",
     )
-    parser.add_argument("--json", dest="json_path", default=None,
-                        help="write measurements to this JSON file")
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="CI scale: fewer records/samples, relaxed speedup floor",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        args.n_pairs, args.n_records, args.samples = 60, 2, 128
-        args.service_requests = 4
+
+
+SMOKE = {"n_pairs": 60, "n_records": 2, "samples": 128, "service_requests": 4}
+
+
+def scenario(args, drill):
     if args.min_speedup is None:
         args.min_speedup = 2.0 if args.smoke else 5.0
-
     dataset = build_workload(
         args.n_attrs, args.n_tokens, args.n_pairs, args.seed
     )
@@ -229,67 +222,44 @@ def main(argv=None):
     speedup = off_mean / on_mean
     print(f"per-row oracle:  {off_mean * 1000:.1f} ms per record")
     print(f"columnar path:   {on_mean * 1000:.1f} ms per record")
-    print(f"speedup: {speedup:.2f}x (required: {args.min_speedup}x)")
 
-    failures = []
     mismatched = sum(
         1 for before, after in zip(off_weights, on_weights) if before != after
     )
-    if mismatched:
-        failures.append(
-            f"{mismatched}/{args.n_records} records with unequal weights "
-            "between the per-row oracle and the columnar path"
-        )
-    else:
-        print(f"weights: all {args.n_records} records exactly equal")
-    if speedup < args.min_speedup:
-        failures.append(
-            f"speedup {speedup:.2f}x below the {args.min_speedup}x floor"
-        )
+    drill.check(
+        not mismatched,
+        f"weights exactly equal between the per-row oracle and the columnar "
+        f"path ({mismatched}/{args.n_records} records differ)",
+    )
+    drill.check(
+        speedup >= args.min_speedup,
+        f"speedup {speedup:.2f}x >= the {args.min_speedup}x floor",
+    )
 
     service_mismatched, merges = run_service_check(
         dataset, args.service_requests, min(args.samples, 128), args.seed
     )
-    if service_mismatched:
-        failures.append(
-            f"{service_mismatched}/{args.service_requests} payloads differ "
-            "between sequential and cross-request-batched service runs"
-        )
-    else:
-        print(
-            f"service: {args.service_requests} batched payloads exactly "
-            f"equal sequential ones ({merges} cross-request merges)"
-        )
+    drill.check(
+        not service_mismatched,
+        f"{args.service_requests} cross-request-batched service payloads "
+        f"exactly equal sequential ones ({service_mismatched} differ, "
+        f"{merges} cross-request merges)",
+    )
+    return {
+        "per_pair_seconds": off_seconds,
+        "columnar_seconds": on_seconds,
+        "per_pair_mean_seconds": off_mean,
+        "columnar_mean_seconds": on_mean,
+        "speedup": speedup,
+        "cross_request_merges": merges,
+    }
 
-    if args.json_path:
-        artifact = {
-            "workload": {
-                "n_attrs": args.n_attrs,
-                "n_tokens": args.n_tokens,
-                "n_pairs": args.n_pairs,
-                "n_records": args.n_records,
-                "samples": args.samples,
-                "seed": args.seed,
-            },
-            "per_pair_seconds": off_seconds,
-            "columnar_seconds": on_seconds,
-            "per_pair_mean_seconds": off_mean,
-            "columnar_mean_seconds": on_mean,
-            "speedup": speedup,
-            "min_speedup": args.min_speedup,
-            "weights_identical": mismatched == 0,
-            "service_payloads_identical": service_mismatched == 0,
-            "cross_request_merges": merges,
-            "failures": failures,
-        }
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(artifact, handle, indent=2)
-        print(f"wrote {args.json_path}")
 
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    print("bench_vectorized", "FAILED" if failures else "passed")
-    return 1 if failures else 0
+def main(argv=None):
+    return run_bench(
+        "bench_vectorized", __doc__.splitlines()[0], add_arguments, SMOKE,
+        scenario, seed=7, argv=argv,
+    )
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ python -m pytest tests/ 2>&1 | tee test_output.txt | tail -2
 
 echo "== 2/4 benchmark suite (all paper tables + ablations, bench scale) =="
 python -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt | tail -2
-python benchmarks/bench_prediction_engine.py --fast | tail -3
+python benchmarks/bench_prediction_engine.py --smoke | tail -3
 
 echo "== 3/4 full experiment grid (fast preset, all 12 datasets) =="
 python -m repro.cli experiment --preset fast --output experiments_fast.txt | tail -5

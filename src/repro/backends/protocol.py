@@ -31,11 +31,16 @@ import struct
 from repro.exceptions import BackendProtocolError
 
 __all__ = [
+    "DEFAULT_HOST",
     "FRAME_MAGIC",
     "MAX_FRAME_BYTES",
     "read_frame",
     "send_frame",
 ]
+
+#: Address a frame-protocol listener (``MatcherServer``, ``ShardServer``)
+#: binds when given none: loopback, so exposing one is a deliberate act.
+DEFAULT_HOST = "127.0.0.1"
 
 #: First bytes of every frame; anything else on the wire is not us.
 FRAME_MAGIC = b"RBM1"

@@ -35,7 +35,12 @@ from repro.backends.base import (
     PROTOCOL_VERSION,
     BackendCapabilities,
 )
-from repro.backends.protocol import FRAME_MAGIC, read_frame, send_frame
+from repro.backends.protocol import (
+    DEFAULT_HOST,
+    FRAME_MAGIC,
+    read_frame,
+    send_frame,
+)
 from repro.core.columnar import ColumnarPairBatch
 from repro.core.serialize import matcher_fingerprint
 from repro.exceptions import (
@@ -46,9 +51,13 @@ from repro.exceptions import (
 )
 from repro.matchers.base import score_batch
 
-__all__ = ["MatcherServer"]
+__all__ = ["DEFAULT_WORKERS", "MatcherServer"]
 
 logger = logging.getLogger(__name__)
+
+#: Prediction threads a :class:`MatcherServer` runs by default, so that
+#: several in-flight batches from pipelined clients are served at once.
+DEFAULT_WORKERS = 4
 
 
 class _ChaosState:
@@ -94,10 +103,10 @@ class MatcherServer:
     def __init__(
         self,
         matcher,
-        host: str = "127.0.0.1",
+        host: str = DEFAULT_HOST,
         port: int = 0,
         max_batch_size: int = DEFAULT_MAX_BATCH_SIZE,
-        workers: int = 4,
+        workers: int = DEFAULT_WORKERS,
         chaos=None,
     ) -> None:
         if workers < 1:

@@ -51,6 +51,8 @@ import sys
 from pathlib import Path
 
 from repro.backends import DEFAULT_MAX_BATCH_SIZE
+from repro.backends.protocol import DEFAULT_HOST
+from repro.backends.server import DEFAULT_WORKERS
 from repro.blocking import InvertedIndexBlocker
 from repro.bulk import BulkJobSpec
 from repro.config import (
@@ -70,7 +72,9 @@ from repro.data.synthetic.magellan import (
     load_dataset,
     table1_rows,
 )
-from repro.core.landmark import LandmarkExplainer
+from repro.core.counterfactual import DEFAULT_MAX_EDITS
+from repro.core.generation import GENERATION_DOUBLE, GENERATION_SINGLE
+from repro.core.landmark import GENERATION_AUTO, LandmarkExplainer
 from repro.core.summarize import summarize_explanations
 from repro.baselines.mojito import MojitoCopyExplainer, MojitoDropExplainer
 from repro.evaluation.runner import ExperimentRunner
@@ -206,7 +210,7 @@ def _add_request_arguments(
 
 
 def _add_bind_arguments(parser: argparse.ArgumentParser, port: int) -> None:
-    parser.add_argument("--host", default="127.0.0.1", help="bind address")
+    parser.add_argument("--host", default=DEFAULT_HOST, help="bind address")
     parser.add_argument(
         "--port", type=int, default=port,
         help="bind port (0 picks an ephemeral one)",
@@ -410,7 +414,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_matcher_arguments(explain)
     explain.add_argument("--record", type=int, default=0, help="record index")
     explain.add_argument(
-        "--generation", default="auto", choices=("auto", "single", "double")
+        "--generation", default=GENERATION_AUTO,
+        choices=(GENERATION_AUTO, GENERATION_SINGLE, GENERATION_DOUBLE),
     )
     _add_request_arguments(explain, samples=LimeConfig.n_samples)
     explain.add_argument("--top", type=int, default=5)
@@ -460,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_matcher_arguments(serve_matcher)
     _add_bind_arguments(serve_matcher, port=7654)
     serve_matcher.add_argument(
-        "--server-workers", type=int, default=4,
+        "--server-workers", type=int, default=DEFAULT_WORKERS,
         help="prediction threads serving concurrent in-flight batches",
     )
     serve_matcher.add_argument(
@@ -580,7 +585,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--landmark", default="left", choices=("left", "right")
     )
     _add_samples_argument(counterfactual)
-    counterfactual.add_argument("--max-edits", type=int, default=10)
+    counterfactual.add_argument(
+        "--max-edits", type=int, default=DEFAULT_MAX_EDITS
+    )
 
     report = subparsers.add_parser(
         "report", help="write an HTML / markdown explanation report"

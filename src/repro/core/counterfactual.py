@@ -32,6 +32,9 @@ from repro.data.records import RecordPair
 from repro.exceptions import ConfigurationError
 from repro.matchers.base import DEFAULT_THRESHOLD, EntityMatcher
 
+#: Edits :func:`greedy_counterfactual` tries before giving up on a flip.
+DEFAULT_MAX_EDITS = 10
+
 
 @dataclass(frozen=True)
 class TokenEdit:
@@ -86,7 +89,7 @@ def greedy_counterfactual(
     landmark_explanation: LandmarkExplanation,
     matcher: EntityMatcher,
     threshold: float = DEFAULT_THRESHOLD,
-    max_edits: int = 10,
+    max_edits: int = DEFAULT_MAX_EDITS,
     reconstructor: PairReconstructor | None = None,
 ) -> Counterfactual:
     """Flip the model's decision with the fewest explanation-guided edits.

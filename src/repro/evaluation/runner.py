@@ -33,7 +33,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from repro.config import (
-    ALL_METHODS,
     METHOD_MOJITO_COPY,
     ExperimentConfig,
     FAST,
@@ -509,8 +508,3 @@ class ExperimentRunner:
             ):
                 result.datasets[code] = dataset_result
         return result
-
-
-def default_methods() -> tuple[str, ...]:
-    """The paper's method grid."""
-    return ALL_METHODS

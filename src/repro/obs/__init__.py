@@ -25,7 +25,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    global_registry,
 )
 from repro.obs.progress import ProgressTracker
 from repro.obs.tracing import (
@@ -49,7 +48,6 @@ __all__ = [
     "Span",
     "TRACE_FORMAT_VERSION",
     "Tracer",
-    "global_registry",
     "save_json",
     "span",
     "to_json",

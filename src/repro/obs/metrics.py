@@ -386,13 +386,3 @@ class MetricsRegistry:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._lock = threading.Lock()
-
-
-#: A process-wide default registry for callers that don't thread their
-#: own through (CLI front-ends share it across subsystems).
-_GLOBAL = MetricsRegistry()
-
-
-def global_registry() -> MetricsRegistry:
-    """The process-wide default :class:`MetricsRegistry`."""
-    return _GLOBAL

@@ -45,6 +45,7 @@ import logging
 import socket
 import threading
 
+from repro.backends.protocol import DEFAULT_HOST
 from repro.exceptions import error_code
 from repro.service.shard import ShardSpec, _ShardWorker, build_shard_service
 from repro.service.transport import (
@@ -72,7 +73,7 @@ class ShardServer:
 
     def __init__(
         self,
-        host: str = "127.0.0.1",
+        host: str = DEFAULT_HOST,
         port: int = 0,
         *,
         store_dir=None,

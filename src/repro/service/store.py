@@ -171,25 +171,6 @@ def shard_store_dir(store_dir: str | Path, shard_id: int) -> Path:
     return Path(store_dir) / SHARD_DIR_FORMAT.format(shard_id)
 
 
-def shard_partitions(store_dir: str | Path) -> list[tuple[int, Path]]:
-    """Existing ``(shard_id, partition_dir)`` pairs under *store_dir*,
-    sorted by shard id — used by operational tooling to inspect or
-    migrate a sharded store."""
-    root = Path(store_dir)
-    if not root.is_dir():
-        return []
-    found: list[tuple[int, Path]] = []
-    for child in root.iterdir():
-        if not child.is_dir() or not child.name.startswith("shard-"):
-            continue
-        try:
-            shard_id = int(child.name.split("-", 1)[1])
-        except ValueError:
-            continue
-        found.append((shard_id, child))
-    return sorted(found)
-
-
 class ExplanationStore:
     """SQLite-backed LRU/TTL cache of serialized explanation payloads.
 

@@ -6,9 +6,9 @@ configurations.  :mod:`repro.testing.faults` injects matcher-side
 faults; :mod:`repro.testing.chaos` supplies the infrastructure side
 (damaged store files, mid-request kills, slow clients, overload bursts),
 all seeded and reproducible; :mod:`repro.testing.drill` is the harness
-every end-to-end drill script is written over (process boot and
-shutdown, JSONL and HTTP clients, retrying load, polling, the check
-transcript and exit code).
+every end-to-end drill script and CI bench is written over (process
+boot and shutdown, JSONL and HTTP clients, retrying load, polling, the
+check transcript and exit code, the shared bench flags and artifact).
 """
 
 from repro.testing.chaos import (
@@ -32,6 +32,7 @@ from repro.testing.drill import (
     fleet_document,
     jsonl_session,
     post_retrying,
+    run_bench,
     run_load,
     spawn,
     spawn_shard_hosts,
@@ -62,6 +63,7 @@ __all__ = [
     "overload_burst",
     "overwrite_with_garbage",
     "post_retrying",
+    "run_bench",
     "run_load",
     "spawn",
     "spawn_shard_hosts",

@@ -1,8 +1,9 @@
-"""Scaffolding for end-to-end drills: boot the real CLI, drive it, report.
+"""Scaffolding for end-to-end drills and CI benches: run, check, report.
 
 Every CI drill (``scripts/*_drill.py``, ``scripts/service_smoke.py``) and
-``benchmarks/bench_shards.py`` is a scenario plus its assertions written
-over this module, which holds the one copy of the plumbing they share:
+every CI throughput bench (``benchmarks/bench_*.py`` run by
+:func:`run_bench`) is a scenario plus its assertions written over this
+module, which holds the one copy of the plumbing they share:
 
 * :func:`spawn` — start a ``repro-em`` sub-command (:func:`cli`), wait
   for its startup banner on stderr and keep draining stderr afterwards
@@ -18,7 +19,10 @@ over this module, which holds the one copy of the plumbing they share:
   :class:`Load` outcome ledger;
 * :func:`wait_until` / :func:`wait_health` — bounded polling;
 * :class:`Drill` — records checks and their transcript, writes artifacts
-  and turns the outcome into the exit code.
+  and turns the outcome into the exit code;
+* :func:`run_bench` — a bench's parser with the shared ``--seed``,
+  ``--smoke`` and ``--artifacts-dir`` flags, its scenario run as a
+  :class:`Drill`, and its ``<bench>.json`` artifact.
 
 Drill-specific values (seeds, dataset flags, retryable codes, attempts,
 backoff, pacing) stay constants in each script and are passed in.  The
@@ -27,6 +31,7 @@ module imports only the standard library.
 
 from __future__ import annotations
 
+import argparse
 import json
 import signal
 import subprocess
@@ -411,3 +416,56 @@ class Drill:
         print(f"{self.name} {'FAILED' if self.failures else 'passed'} "
               f"in {elapsed:.0f}s")
         return 1 if self.failures else 0
+
+
+def run_bench(
+    name: str,
+    description: str,
+    add_arguments: Callable[[argparse.ArgumentParser], None],
+    smoke: dict[str, object],
+    scenario: Callable[[argparse.Namespace, Drill], dict],
+    *,
+    seed: int = 0,
+    argv: Sequence[str] | None = None,
+) -> int:
+    """Run one CI bench: parse its flags, run *scenario*, report; exit code.
+
+    The parser carries the bench's own flags (*add_arguments*) plus the
+    three every bench shares: ``--seed`` (default *seed*), ``--smoke``,
+    which sets each *smoke* attribute on the parsed arguments over
+    whatever the flags said, and ``--artifacts-dir``.
+    ``scenario(args, drill)`` gates through :meth:`Drill.check` and returns
+    its measurements.  With ``--artifacts-dir``, ``<name>.json`` there
+    holds the final arguments (``workload``), the measurements and the
+    failures.
+    """
+    parser = argparse.ArgumentParser(description=description)
+    add_arguments(parser)
+    parser.add_argument("--seed", type=int, default=seed)
+    parser.add_argument(
+        "--smoke", action="store_true",
+        help="CI scale: " + ", ".join(
+            f"--{key.replace('_', '-')} {value}" for key, value in smoke.items()
+        ),
+    )
+    parser.add_argument(
+        "--artifacts-dir", type=Path, default=None,
+        help=f"write {name}.json (workload, measurements, failures) here",
+    )
+    args = parser.parse_args(argv)
+    if args.smoke:
+        for key, value in smoke.items():
+            setattr(args, key, value)
+    drill = Drill(name, args.artifacts_dir)
+    measurements = scenario(args, drill)
+    drill.save({
+        f"{name}.json": json.dumps(
+            {
+                "workload": vars(args),
+                "measurements": measurements,
+                "failures": drill.failures,
+            },
+            indent=2, sort_keys=True, default=str,
+        ),
+    })
+    return drill.finish()

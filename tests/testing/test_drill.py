@@ -6,6 +6,7 @@ is a stdlib stub, so nothing boots ``repro-em``.
 
 from __future__ import annotations
 
+import argparse
 import importlib.util
 import json
 import signal
@@ -22,6 +23,7 @@ from repro.testing.drill import (
     Drill,
     Retry,
     fetch,
+    run_bench,
     run_load,
     spawn,
     stop,
@@ -207,23 +209,106 @@ class TestDrill:
         assert Drill("clean").finish() == 0
 
 
+class TestRunBench:
+    @staticmethod
+    def run(argv, passes=True):
+        seen = {}
+
+        def add_arguments(parser):
+            parser.add_argument("--samples", type=int, default=96)
+            parser.add_argument("--gate", type=float, default=1.5)
+
+        def scenario(args, drill):
+            seen.update(vars(args))
+            drill.check(True, "bit-identical")
+            drill.check(passes, "speedup >= gate")
+            return {"speedup": 2.0}
+
+        code = run_bench(
+            "bench_unit", "a unit bench", add_arguments,
+            {"samples": 48}, scenario, seed=7, argv=argv,
+        )
+        return code, seen
+
+    def test_smoke_applies_the_preset_over_the_flags(self):
+        _, seen = self.run([])
+        assert (seen["samples"], seen["seed"], seen["smoke"]) == (96, 7, False)
+        _, seen = self.run(["--smoke", "--samples", "10"])
+        assert (seen["samples"], seen["gate"], seen["smoke"]) == (48, 1.5, True)
+
+    def test_json_lands_in_artifacts_dir_with_workload_and_failures(
+        self, tmp_path
+    ):
+        out = tmp_path / "out"
+        code, _ = self.run(
+            ["--artifacts-dir", str(out), "--gate", "3"],
+            passes=False,
+        )
+        assert code == 1
+        assert [path.name for path in out.iterdir()] == ["bench_unit.json"]
+        artifact = json.loads((out / "bench_unit.json").read_text())
+        assert artifact["workload"] == {
+            "samples": 96, "gate": 3.0, "seed": 7, "smoke": False,
+            "artifacts_dir": str(out),
+        }
+        assert artifact["measurements"] == {"speedup": 2.0}
+        assert artifact["failures"] == ["speedup >= gate"]
+
+    def test_passing_bench_exits_zero_and_writes_nothing_without_dir(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, _ = self.run([])
+        assert code == 0
+        assert list(tmp_path.iterdir()) == []
+        assert "bench_unit passed in" in capsys.readouterr().out
+
+
+BENCH_SCRIPTS = sorted(
+    REPO / "benchmarks" / f"bench_{name}.py"
+    for name in (
+        "bulk", "obs_overhead", "prediction_engine", "remote_backend",
+        "service_throughput", "shards", "shedding", "vectorized",
+    )
+)
+
 DRILL_SCRIPTS = sorted(
     [
         *REPO.glob("scripts/*_drill.py"),
         REPO / "scripts" / "service_smoke.py",
-        REPO / "benchmarks" / "bench_shards.py",
+        *BENCH_SCRIPTS,
     ]
 )
+
+
+def load_script(path):
+    spec = importlib.util.spec_from_file_location(f"_drill_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("path", DRILL_SCRIPTS, ids=lambda path: path.name)
 def test_drill_script_imports_and_exposes_main(path):
     # Each drill otherwise runs only in its own CI job, so a harness API
     # change that breaks a script's imports would go unseen here.
-    spec = importlib.util.spec_from_file_location(f"_drill_{path.stem}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert callable(module.main)
+    assert callable(load_script(path).main)
+
+
+@pytest.mark.parametrize("path", BENCH_SCRIPTS, ids=lambda path: path.name)
+def test_bench_builds_its_parser_through_run_bench(path, capsys):
+    # --help exits after the parser is built: the bench's flags, its
+    # smoke preset and run_bench's shared flags, without running anything.
+    module = load_script(path)
+    with pytest.raises(SystemExit) as exited:
+        module.main(["--help"])
+    assert exited.value.code == 0
+    out = capsys.readouterr().out
+    assert "--smoke" in out and "--artifacts-dir" in out and "--seed" in out
+    # A misspelt preset key would leave --smoke running at full scale.
+    parser = argparse.ArgumentParser()
+    module.add_arguments(parser)
+    assert set(module.SMOKE) <= {action.dest for action in parser._actions}
 
 
 def test_every_drill_script_is_covered():
@@ -231,5 +316,9 @@ def test_every_drill_script_is_covered():
     assert {
         "backend_drill.py", "bulk_drill.py", "chaos_drill.py",
         "fault_drill.py", "fleet_drill.py", "shard_drill.py",
-        "service_smoke.py", "bench_shards.py",
+        "service_smoke.py", "bench_bulk.py", "bench_obs_overhead.py",
+        "bench_prediction_engine.py", "bench_remote_backend.py",
+        "bench_service_throughput.py", "bench_shards.py",
+        "bench_shedding.py", "bench_vectorized.py",
     } <= names
+    assert all(path.exists() for path in DRILL_SCRIPTS)
